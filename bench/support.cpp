@@ -344,8 +344,6 @@ MetricsRecorder::finish() const
     }
     // Which interpreter tier produced these host-time numbers
     // (docs/PERFORMANCE.md; simulated counters are tier-independent).
-    // `predecode` is the legacy boolean alias of the same toggle.
-    w.field("predecode", predecode_enabled());
     w.field("backend", std::string(sim_backend_name(sim_backend())));
 
     LaneStats total;

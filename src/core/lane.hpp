@@ -19,13 +19,14 @@
  *     epsilon activation (UAP-style NFA execution); cycle cost scales with
  *     the number of dispatches, as on the real hardware.
  *
- * Host-side interpretation runs on one of two paths (docs/PERFORMANCE.md):
- *   - the fast path over a shared read-only `DecodedProgram` (the
- *     default), with instrumented/uninstrumented inner-loop variants so
- *     detached tracer/profiler hooks cost nothing per cycle;
- *   - the legacy decode-per-step path (`UDP_SIM_NO_PREDECODE=1`), kept
- *     as the bit-identical equivalence reference.
- * Simulated counters and event streams never depend on the path taken.
+ * Host-side interpretation runs on one of two tiers (docs/PERFORMANCE.md):
+ *   - the threaded tier (the default): a `CompiledProgram` shared by all
+ *     lanes, run by `ThreadedEngine` in both DFA and NFA mode;
+ *   - the reference interpreter: decodes every word at dispatch time and
+ *     is the equivalence oracle.  It also runs every lane with a tracer
+ *     or profiler attached, so the fast tier carries no hooks.
+ * Both tiers execute the one opcode definition in core/action_unit.hpp;
+ * simulated counters never depend on the tier taken.
  */
 #pragma once
 
@@ -44,8 +45,6 @@ namespace udp {
 
 class Tracer;          // trace.hpp
 class Profiler;        // profile.hpp
-class DecodedProgram;  // decoded_program.hpp
-struct DecodedState;
 class CompiledProgram; // threaded_program.hpp
 class ThreadedEngine;  // threaded_program.hpp
 
@@ -64,6 +63,9 @@ enum class LaneStatus : std::uint8_t {
 
 /// Stable lower-case name of a lane status ("done", "timed-out", ...).
 std::string_view lane_status_name(LaneStatus st);
+
+/// Exit disposition of one executed action (Lane::exec_op).
+enum class OpExit : std::uint8_t { Next, Done, Reject };
 
 /// One recorded acceptance (Accept action).
 struct AcceptEvent {
@@ -84,26 +86,17 @@ class Lane
      */
     Lane(unsigned id, LocalMemory &mem);
 
-    /// Bind the program (kept by reference; caller owns it).  Fetches
-    /// the shared predecoded/compiled images from the process-wide
-    /// caches as the active backend requires (see sim_backend()).
+    /// Bind the program (kept by reference; caller owns it).  Under the
+    /// Threaded backend (see sim_backend()) the lane also binds the
+    /// shared compiled image from the process-wide cache.
     void load(const Program &prog);
 
-    /// Bind the program together with an already-resolved predecoded
-    /// image (the runtime's JobPlan path, which looks it up once per
-    /// job instead of once per lane).  `decoded` may be null.
+    /// Bind the program with its compiled image already resolved (the
+    /// runtime's JobPlan path, which looks it up once per job instead
+    /// of once per lane).  `compiled` may be null; it is dropped unless
+    /// the Threaded backend is active.
     void load(const Program &prog,
-              std::shared_ptr<const DecodedProgram> decoded);
-
-    /// Bind the program with both shared images pre-resolved (the
-    /// runtime's JobPlan path under the Threaded backend).  Either may
-    /// be null; images the active backend does not need are dropped.
-    void load(const Program &prog,
-              std::shared_ptr<const DecodedProgram> decoded,
               std::shared_ptr<const CompiledProgram> compiled);
-
-    /// The predecoded image in use (null on the legacy path).
-    const DecodedProgram *decoded() const { return decoded_.get(); }
 
     /// The threaded-code image in use (null unless the Threaded
     /// backend was active at load()).
@@ -131,7 +124,7 @@ class Lane
     LaneStatus run_steps(std::uint64_t n);
 
     /// Resumable single dispatch step: exactly `run_steps(1)`, but the
-    /// decoded entry of the next state is carried across calls so
+    /// compiled index of the next state is carried across calls so
     /// lockstep rounds skip the per-call state lookup.
     LaneStatus step_once();
 
@@ -177,10 +170,11 @@ class Lane
     void reset();
 
     /// Full architectural reset between job batches: reset() plus the
-    /// window base, dispatch window and attached input, so a reassigned
-    /// lane cannot observe any state from the previous wave.  Run
-    /// configuration (tracer, profiler, arbiter, accept capacity) and
-    /// the program binding survive, as for reset().
+    /// window base, dispatch window, attached input and program binding,
+    /// so a reassigned lane cannot observe any state from the previous
+    /// wave, and an idle one keeps no pointer to a program its owner may
+    /// have freed; load() again before running.  Run configuration
+    /// (tracer, profiler, arbiter, accept capacity) survives.
     void hard_reset();
 
     /// Hook invoked for each memory reference: (bank, is_write) -> stalls.
@@ -209,44 +203,35 @@ class Lane
         LaneStatus status = LaneStatus::Running;
     };
 
-    /// Legacy decode-per-step dispatch: fetch+check the labeled slot,
-    /// walk the aux chain, fire actions.
+    /// Reference dispatch: fetch+check the labeled slot, walk the aux
+    /// chain, fire actions.
     StepResult step(const StateMeta &meta);
-
-    /// Fast-path dispatch over the predecoded state.  `Instrumented`
-    /// compiles the tracer/profiler hooks in or out of the loop.
-    template <bool Instrumented>
-    StepResult step_fast(const DecodedState &ds);
-
-    /// One fast-path step plus halt/transition bookkeeping and profiler
-    /// attribution (shared by run_steps_fast and step_once).
-    template <bool Instrumented>
-    LaneStatus advance_one(const DecodedState &ds);
-
-    template <bool Instrumented>
-    LaneStatus run_steps_fast(std::uint64_t n);
-
-    template <bool Instrumented>
-    LaneStatus run_nfa_fast(std::uint64_t max_cycles);
 
     LaneStatus run_steps_legacy(std::uint64_t n);
     LaneStatus run_nfa_legacy(std::uint64_t max_cycles);
 
-    /// Execute the action chain at action-memory word address `addr`.
-    /// `Predecoded` selects the micro-op source (decoded image vs
-    /// per-word decode); both charge identical simulated costs.
-    template <bool Instrumented, bool Predecoded>
-    LaneStatus exec_actions_impl(std::size_t addr);
+    /// True when the threaded tier runs this lane: a compiled image is
+    /// bound and no tracer or profiler is attached.
+    bool threaded() const { return compiled_ && !tracer_ && !profiler_; }
 
-    /// Legacy entry (runtime instrumentation checks, per-word decode).
+    /// Reference action unit: decode and execute the action chain at
+    /// action-memory word address `addr`, with the tracer/profiler hooks.
     LaneStatus exec_actions(std::size_t addr);
+
+    /// The semantics of one action: the single definition both tiers
+    /// run (core/action_unit.hpp).  `acc` takes the cycle and stream-bit
+    /// charges — the lane's own LaneStats on the reference interpreter,
+    /// the threaded tier's ThreadedCtx otherwise.  `A` is any operand
+    /// record with Action's field names (Action, CompiledOp).
+    template <class Acc, class A>
+    OpExit exec_op(Opcode op, const A &a, Acc &acc);
 
     /// Record `fault_`, halt the lane and return the terminal status
     /// (TimedOut for WatchdogTimeout, Faulted otherwise).
     LaneStatus trap(FaultCode code, std::string detail);
 
     /// Run `body` converting tagged interpreter errors into faults at
-    /// the run-loop boundary (shared by all four run entries).
+    /// the run-loop boundary (shared by every run entry of both tiers).
     template <typename Body>
     LaneStatus run_guarded(Body &&body);
 
@@ -270,10 +255,8 @@ class Lane
     unsigned id_;
     LocalMemory &mem_;
     const Program *prog_ = nullptr;
-    std::shared_ptr<const DecodedProgram> decoded_; ///< null = legacy path
     std::shared_ptr<const CompiledProgram> compiled_; ///< threaded backend
-    const DecodedState *resume_ds_ = nullptr; ///< step_once carry-over
-    std::int32_t resume_cs_ = -2; ///< threaded step_once carry-over
+    std::int32_t resume_cs_ = -2; ///< step_once carry-over
                                   ///< (ThreadedEngine::kNoResume)
     StreamBuffer sb_;
 

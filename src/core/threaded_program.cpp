@@ -1,499 +1,91 @@
 /**
  * @file
- * Threaded-code backend: the CompiledProgram lowering pass, the op
- * handler table, the single-lane resumable engine and the LaneBlock
- * batch runner.
+ * Threaded-code tier: the generated handler table, the CompiledProgram
+ * lowering pass, the single-lane resumable engine, the NFA-mode engine
+ * and the LaneBlock batch runner.
  *
- * Equivalence discipline: every counter charge, fault message and
- * side-effect order below is transcribed from the reference interpreter
- * in lane.cpp (`step_fast` / `exec_actions_impl`).  The chain walker
- * charges the fetch costs unconditionally and the two trap ops
- * (undecodable word, out-of-range fetch) *undo* the charges the legacy
- * path would not have made before throwing the identical error —
+ * Equivalence discipline: opcode semantics come from Lane::exec_op, the
+ * same definition the reference interpreter runs; every dispatch charge,
+ * fault message and side-effect order below mirrors the reference
+ * dispatch loops in lane.cpp (`step` / `run_nfa_legacy`).  The chain
+ * walker charges the fetch costs unconditionally and the two trap ops
+ * (undecodable word, out-of-range fetch) *undo* the charges the
+ * reference would not have made before throwing the identical error —
  * keeping the hot loop free of per-op bounds and validity checks.
  */
 #include "threaded_program.hpp"
+
+#include "action_unit.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 namespace udp {
 
-namespace {
-
-/// CRC32-C (Castagnoli) byte-step table — same contents as the lane
-/// interpreter's (the polynomial is the contract, not the object).
-const std::array<Word, 256> &
-crc32c_table()
-{
-    static const std::array<Word, 256> table = [] {
-        std::array<Word, 256> t{};
-        for (Word i = 0; i < 256; ++i) {
-            Word c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : (c >> 1);
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
-
-/// Snappy-style multiplicative hash (Section 3.2.5 "hash action").
-Word
-hash_mix(Word v, unsigned table_log2)
-{
-    const Word h = v * 0x1E35A7BDu;
-    if (table_log2 == 0 || table_log2 >= 32)
-        return h;
-    return h >> (32 - table_log2);
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------------
 // Op handlers.
-//
-// Each handler is one lowered `case` of Lane::exec_actions_impl's switch.
-// They are members of a struct nested in ThreadedEngine so they inherit
-// its friend access to Lane and StreamBuffer.
 // ---------------------------------------------------------------------------
 
-#define UDP_THREADED_OP(name)                                              \
-    static OpExit name([[maybe_unused]] Lane &ln,                          \
-                       [[maybe_unused]] ThreadedCtx &c,                    \
-                       [[maybe_unused]] const CompiledOp &o)
-
-struct ThreadedEngine::Ops {
-    static Word rs(const Lane &ln, const CompiledOp &o) {
-        return o.src == kRegStreamIdx
-                   ? static_cast<Word>(ln.sb_.pos_bytes())
-                   : ln.regs_[o.src];
-    }
-    static Word rr(const Lane &ln, const CompiledOp &o) {
-        return o.ref == kRegStreamIdx
-                   ? static_cast<Word>(ln.sb_.pos_bytes())
-                   : ln.regs_[o.ref];
-    }
-    static void wr(Lane &ln, const CompiledOp &o, Word v) {
-        // set_reg without the range check: decoded dst is a 4-bit field.
-        if (o.dst == kRegStreamIdx) {
-            ln.sb_.seek_bits(std::uint64_t{v} * 8);
-            return;
-        }
-        ln.regs_[o.dst] = v;
-    }
-
-    // --- ALU, immediate forms ---
-    UDP_THREADED_OP(addi) { wr(ln, o, rs(ln, o) + o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(subi) { wr(ln, o, rs(ln, o) - o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(andi) { wr(ln, o, rs(ln, o) & o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(ori) { wr(ln, o, rs(ln, o) | o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(xori) { wr(ln, o, rs(ln, o) ^ o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(shli) {
-        wr(ln, o, rs(ln, o) << (o.imm & 31));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(shri) {
-        wr(ln, o, rs(ln, o) >> (o.imm & 31));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(sari) {
-        wr(ln, o,
-           static_cast<Word>(static_cast<std::int32_t>(rs(ln, o)) >>
-                             (o.imm & 31)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(movi) { wr(ln, o, o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(lui) {
-        wr(ln, o, (ln.regs_[o.dst] & 0xFFFFu) | (o.imm_w << 16));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(cmpeqi) {
-        wr(ln, o, rs(ln, o) == o.imm_w);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(cmplti) {
-        wr(ln, o, static_cast<std::int32_t>(rs(ln, o)) < o.imm);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(cmpltui) {
-        wr(ln, o, rs(ln, o) < o.imm_w);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(muli) { wr(ln, o, rs(ln, o) * o.imm_w); return OpExit::Next; }
-
-    // --- ALU, register forms ---
-    UDP_THREADED_OP(add) { wr(ln, o, rr(ln, o) + rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(sub) { wr(ln, o, rr(ln, o) - rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(and_) { wr(ln, o, rr(ln, o) & rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(or_) { wr(ln, o, rr(ln, o) | rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(xor_) { wr(ln, o, rr(ln, o) ^ rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(shl) {
-        wr(ln, o, rr(ln, o) << (rs(ln, o) & 31));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(shr) {
-        wr(ln, o, rr(ln, o) >> (rs(ln, o) & 31));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(mov) { wr(ln, o, rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(not_) { wr(ln, o, ~rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(neg) { wr(ln, o, 0u - rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(mul) { wr(ln, o, rr(ln, o) * rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(min) {
-        wr(ln, o, std::min(rr(ln, o), rs(ln, o)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(max) {
-        wr(ln, o, std::max(rr(ln, o), rs(ln, o)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(cmpeq) {
-        wr(ln, o, rr(ln, o) == rs(ln, o));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(cmplt) {
-        wr(ln, o, rr(ln, o) < rs(ln, o));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(select) {
-        wr(ln, o, ln.regs_[o.dst] ? rr(ln, o) : rs(ln, o));
-        return OpExit::Next;
-    }
-
-    // --- Memory ---
-    UDP_THREADED_OP(ldw) {
-        wr(ln, o, ln.mem_read32(rs(ln, o) + o.imm_w));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(stw) {
-        ln.mem_write32(rs(ln, o) + o.imm_w, ln.regs_[o.dst]);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(ldb) {
-        wr(ln, o, ln.mem_read8(rs(ln, o) + o.imm_w));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(stb) {
-        ln.mem_write8(rs(ln, o) + o.imm_w,
-                      static_cast<std::uint8_t>(ln.regs_[o.dst]));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(bininc) {
-        const Word addr_b = rs(ln, o) * 4 + o.imm_w;
-        const Word v = ln.mem_read32(addr_b) + 1;
-        ln.mem_write32(addr_b, v);
-        return OpExit::Next;
-    }
-
-    // --- Stream / configuration ---
-    UDP_THREADED_OP(setss) {
-        if (o.imm < 1 || o.imm > 32)
-            throw UdpFaultError(FaultCode::BadAction,
-                                "Lane: setss width must be 1..32");
-        ln.symbol_bits_ = static_cast<unsigned>(o.imm);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(setssr) {
-        const Word v = rs(ln, o);
-        if (v < 1 || v > 32)
-            throw UdpFaultError(FaultCode::BadAction,
-                                "Lane: setssr width must be 1..32");
-        ln.symbol_bits_ = v;
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(setbase) {
-        if (o.dst == 0)
-            ln.window_base_ = rs(ln, o) + o.imm_w;
-        else
-            ln.dispatch_base_ = rs(ln, o) + o.imm_w;
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(setab) {
-        ln.action_base_ = rs(ln, o) + o.imm_w;
-        ln.action_scale_ = o.imm1;
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(skip) {
-        ln.sb_.skip(static_cast<std::uint64_t>(o.imm));
-        c.stream_bits += static_cast<std::uint64_t>(o.imm);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(refill) {
-        ln.sb_.refill(static_cast<std::uint64_t>(o.imm));
-        c.stream_bits -= static_cast<std::uint64_t>(o.imm);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(peek) {
-        wr(ln, o,
-           ln.sb_.exhausted(static_cast<unsigned>(o.imm))
-               ? 0u
-               : ln.sb_.peek(static_cast<unsigned>(o.imm)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(read) {
-        // An action-unit read; does not disturb the dispatch unit's
-        // latched symbol (Lastsym).
-        c.stream_bits += static_cast<unsigned>(o.imm);
-        wr(ln, o, ln.sb_.read(static_cast<unsigned>(o.imm)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(tell) {
-        wr(ln, o, static_cast<Word>(ln.sb_.pos_bits()));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(lastsym) {
-        wr(ln, o, ln.last_symbol_);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(setstream) {
-        const std::uint64_t bit_pos =
-            std::uint64_t{rs(ln, o)} + static_cast<std::uint64_t>(o.imm);
-        const std::uint64_t old = ln.sb_.pos_bits();
-        ln.sb_.seek_bits(bit_pos);
-        c.stream_bits += bit_pos - old; // net consumption delta
-        return OpExit::Next;
-    }
-
-    // --- Specialized ---
-    UDP_THREADED_OP(emitlut) {
-        const Word entry =
-            rs(ln, o) + ((o.imm_w << 8) | ln.last_symbol_) * 16;
-        const std::uint8_t count = ln.mem_read8(entry);
-        if (count > 15)
-            throw UdpFaultError(FaultCode::BadAction,
-                                "Lane: emitlut entry count exceeds 15");
-        ++c.cycles; // table fetch pipeline stage
-        for (unsigned i = 0; i < count; ++i)
-            ln.out_byte(ln.mem_.read8(ln.mem_translate(entry + 1 + i)));
-        ++ln.stats_.mem_reads; // one 8-byte-wide entry fetch
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(hash) {
-        wr(ln, o, hash_mix(rs(ln, o), static_cast<unsigned>(o.imm)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(hash2) {
-        wr(ln, o, hash_mix(rr(ln, o) ^ (rs(ln, o) * 0x85EBCA6Bu), 0));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(loopcmp) {
-        const Word rrv = rr(ln, o);
-        const Word rsv = rs(ln, o);
-        const Word bound = ln.regs_[o.dst];
-        Word n = 0;
-        while (n < bound && ln.mem_read8(rrv + n) == ln.mem_read8(rsv + n))
-            ++n;
-        c.cycles += ceil_div(std::max<Word>(n, 1), 8) - 1;
-        wr(ln, o, n);
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(loopcpy) {
-        const Word rrv = rr(ln, o);
-        const Word rsv = rs(ln, o);
-        const Word n = ln.regs_[o.dst];
-        // Forward byte order: overlapping copies replicate the prefix.
-        for (Word i = 0; i < n; ++i) {
-            const std::uint8_t b = ln.mem_read8(rsv + i);
-            ln.mem_write8(rrv + i, b);
-        }
-        c.cycles += n ? ceil_div(n, 8) - 1 : 0;
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(loopcpyo) {
-        const Word rsv = rs(ln, o);
-        const Word n = ln.regs_[o.dst];
-        for (Word i = 0; i < n; ++i)
-            ln.out_byte(ln.mem_read8(rsv + i));
-        c.cycles += n ? ceil_div(n, 8) - 1 : 0;
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(crc) {
-        wr(ln, o, crc32c_table()[(ln.regs_[o.dst] ^ rs(ln, o)) & 0xFF] ^
-                      (ln.regs_[o.dst] >> 8));
-        return OpExit::Next;
-    }
-
-    // --- Output ---
-    UDP_THREADED_OP(outb) {
-        ln.out_byte(static_cast<std::uint8_t>(rs(ln, o)));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(outw) {
-        const Word v = rs(ln, o);
-        ln.out_byte(static_cast<std::uint8_t>(v));
-        ln.out_byte(static_cast<std::uint8_t>(v >> 8));
-        ln.out_byte(static_cast<std::uint8_t>(v >> 16));
-        ln.out_byte(static_cast<std::uint8_t>(v >> 24));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(outbits) {
-        ln.out_bits(rs(ln, o), static_cast<unsigned>(o.imm));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(outflush) {
-        ln.out_flush();
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(outi) {
-        ln.out_byte(static_cast<std::uint8_t>(o.imm));
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(outbitsr) {
-        const Word w = ln.regs_[o.dst];
-        if (w >= 1 && w <= 32)
-            ln.out_bits(rs(ln, o), w);
-        else if (w != 0)
-            throw UdpFaultError(FaultCode::BadAction,
-                                "Lane: outbitsr width must be 0..32");
-        return OpExit::Next;
-    }
-
-    // --- Control ---
-    UDP_THREADED_OP(accept) {
-        ++ln.stats_.accepts;
-        if (ln.accepts_.size() < ln.accept_capacity_)
-            ln.accepts_.push_back({ln.sb_.pos_bits(), o.imm_w});
-        return OpExit::Next;
-    }
-    UDP_THREADED_OP(halt) { return OpExit::Done; }
-    UDP_THREADED_OP(fail) { return OpExit::Reject; }
-    UDP_THREADED_OP(gotoact) { return OpExit::Next; } // next = target
-    UDP_THREADED_OP(nop) { return OpExit::Next; }
-
-    // --- Trap ops ---
-
-    /// Undecodable action word.  The chain walker charged the fetch
-    /// unconditionally; the legacy path throws after charging only the
-    /// dispatch read, so undo the action/cycle charges then re-decode
-    /// the raw word to raise the identical error.
-    UDP_THREADED_OP(invalid) {
-        --c.actions;
-        --c.cycles;
-        decode_action(o.raw); // throws the legacy error
-        throw UdpFaultError(FaultCode::BadAction,
-                            "Lane: undecodable action word");
-    }
-
-    /// Out-of-range fetch sentinel: the legacy path throws before any
-    /// charge, so undo all three.
-    UDP_THREADED_OP(oob) {
-        --c.dispatch_reads;
-        --c.actions;
-        --c.cycles;
-        throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "Lane: action fetch out of range");
-    }
-
-    /// Defined-but-unhandled opcode (legacy `default:` — charges stay).
-    UDP_THREADED_OP(unimpl) {
-        throw UdpFaultError(FaultCode::UnimplementedOpcode,
-                            "Lane: unimplemented opcode");
-    }
-
-    static const std::array<OpFn, 128> &table();
-};
-
-#undef UDP_THREADED_OP
-
-const std::array<OpFn, 128> &
-ThreadedEngine::Ops::table()
+template <Opcode OP>
+OpExit
+ThreadedEngine::handler(Lane &ln, ThreadedCtx &c, const CompiledOp &o)
 {
-    static const std::array<OpFn, 128> t = [] {
-        std::array<OpFn, 128> a{};
-        a.fill(&Ops::unimpl);
-        const auto set = [&](Opcode op, OpFn f) {
-            a[static_cast<std::size_t>(op)] = f;
-        };
-        set(Opcode::Addi, &Ops::addi);
-        set(Opcode::Subi, &Ops::subi);
-        set(Opcode::Andi, &Ops::andi);
-        set(Opcode::Ori, &Ops::ori);
-        set(Opcode::Xori, &Ops::xori);
-        set(Opcode::Shli, &Ops::shli);
-        set(Opcode::Shri, &Ops::shri);
-        set(Opcode::Sari, &Ops::sari);
-        set(Opcode::Movi, &Ops::movi);
-        set(Opcode::Lui, &Ops::lui);
-        set(Opcode::Cmpeqi, &Ops::cmpeqi);
-        set(Opcode::Cmplti, &Ops::cmplti);
-        set(Opcode::Cmpltui, &Ops::cmpltui);
-        set(Opcode::Muli, &Ops::muli);
-        set(Opcode::Add, &Ops::add);
-        set(Opcode::Sub, &Ops::sub);
-        set(Opcode::And, &Ops::and_);
-        set(Opcode::Or, &Ops::or_);
-        set(Opcode::Xor, &Ops::xor_);
-        set(Opcode::Shl, &Ops::shl);
-        set(Opcode::Shr, &Ops::shr);
-        set(Opcode::Mov, &Ops::mov);
-        set(Opcode::Not, &Ops::not_);
-        set(Opcode::Neg, &Ops::neg);
-        set(Opcode::Mul, &Ops::mul);
-        set(Opcode::Min, &Ops::min);
-        set(Opcode::Max, &Ops::max);
-        set(Opcode::Cmpeq, &Ops::cmpeq);
-        set(Opcode::Cmplt, &Ops::cmplt);
-        set(Opcode::Select, &Ops::select);
-        set(Opcode::Ldw, &Ops::ldw);
-        set(Opcode::Stw, &Ops::stw);
-        set(Opcode::Ldb, &Ops::ldb);
-        set(Opcode::Stb, &Ops::stb);
-        set(Opcode::Bininc, &Ops::bininc);
-        set(Opcode::Setss, &Ops::setss);
-        set(Opcode::Setssr, &Ops::setssr);
-        set(Opcode::Setbase, &Ops::setbase);
-        set(Opcode::Setab, &Ops::setab);
-        set(Opcode::Skip, &Ops::skip);
-        set(Opcode::Refill, &Ops::refill);
-        set(Opcode::Peek, &Ops::peek);
-        set(Opcode::Read, &Ops::read);
-        set(Opcode::Tell, &Ops::tell);
-        set(Opcode::Setstream, &Ops::setstream);
-        set(Opcode::Lastsym, &Ops::lastsym);
-        set(Opcode::Emitlut, &Ops::emitlut);
-        set(Opcode::Hash, &Ops::hash);
-        set(Opcode::Hash2, &Ops::hash2);
-        set(Opcode::Loopcmp, &Ops::loopcmp);
-        set(Opcode::Loopcpy, &Ops::loopcpy);
-        set(Opcode::Loopcpyo, &Ops::loopcpyo);
-        set(Opcode::Crc, &Ops::crc);
-        set(Opcode::Outb, &Ops::outb);
-        set(Opcode::Outw, &Ops::outw);
-        set(Opcode::Outbits, &Ops::outbits);
-        set(Opcode::Outflush, &Ops::outflush);
-        set(Opcode::Outi, &Ops::outi);
-        set(Opcode::Outbitsr, &Ops::outbitsr);
-        set(Opcode::Accept, &Ops::accept);
-        set(Opcode::Halt, &Ops::halt);
-        set(Opcode::Fail, &Ops::fail);
-        set(Opcode::Gotoact, &Ops::gotoact);
-        set(Opcode::Nop, &Ops::nop);
-        return a;
-    }();
-    return t;
+    return ln.exec_op(OP, o, c);
+}
+
+/// Undecodable action word.  The chain walker charged the fetch
+/// unconditionally; the reference throws after charging only the
+/// dispatch read, so undo the action/cycle charges then re-decode the
+/// raw word to raise the identical error.
+OpExit
+ThreadedEngine::invalid_op(Lane &, ThreadedCtx &c, const CompiledOp &o)
+{
+    --c.actions;
+    --c.cycles;
+    decode_action(o.raw); // throws the reference error
+    throw UdpFaultError(FaultCode::BadAction,
+                        "Lane: undecodable action word");
+}
+
+/// Out-of-range fetch sentinel: the reference throws before any charge,
+/// so undo all three.
+OpExit
+ThreadedEngine::oob_op(Lane &, ThreadedCtx &c, const CompiledOp &)
+{
+    --c.dispatch_reads;
+    --c.actions;
+    --c.cycles;
+    throw UdpFaultError(FaultCode::FetchOutOfRange,
+                        "Lane: action fetch out of range");
 }
 
 OpFn
 ThreadedEngine::op_fn(Opcode op)
 {
-    return Ops::table()[static_cast<std::size_t>(op) & 127];
+    // One handler per 7-bit opcode value; values that name no opcode
+    // fold to exec_op's unimplemented-opcode trap.
+    static constexpr auto table = []<std::size_t... I>(
+                                      std::index_sequence<I...>) {
+        return std::array<OpFn, sizeof...(I)>{
+            &handler<static_cast<Opcode>(I)>...};
+    }(std::make_index_sequence<128>{});
+    return table[static_cast<std::size_t>(op) & 127];
 }
 
 OpFn
 ThreadedEngine::invalid_fn()
 {
-    return &Ops::invalid;
+    return &invalid_op;
 }
 
 OpFn
 ThreadedEngine::oob_fn()
 {
-    return &Ops::oob;
+    return &oob_op;
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +140,6 @@ CompiledProgram::CompiledProgram(const Program &prog,
         o.ref = act.ref;
         o.src = act.src;
         o.imm = act.imm;
-        o.imm_w = static_cast<Word>(act.imm);
         o.imm1 = static_cast<std::uint8_t>(act.imm1);
         if (act.op == Opcode::Gotoact) {
             // The jump is the `next` link; out-of-range targets fall on
@@ -716,7 +307,7 @@ ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
     for (;;) {
         const CompiledOp &o = ops[ix];
         // Fetch charges, unconditional: the trap ops undo what the
-        // legacy path would not have charged.
+        // reference would not have charged.
         ++c.dispatch_reads;
         ++c.actions;
         ++c.cycles;
@@ -885,19 +476,12 @@ ThreadedEngine::run_block(LaneBlock &blk)
                     ln.cur_state_ = ln.prog_->entry;
                     ln.started_ = true;
                 }
-                ln.resume_ds_ = nullptr;
                 ln.resume_cs_ = kNoResume;
                 const std::uint64_t chunk =
                     blk.trap_at[k] != 0 ? 1 : 1024;
-                // The same conversion boundary as Lane::run_guarded
-                // (a private template; its catch order is the contract).
-                try {
-                    st = run_steps_body(ln, chunk, blk.state_ix[k]);
-                } catch (const UdpFaultError &e) {
-                    st = ln.trap(e.code(), e.what());
-                } catch (const UdpError &e) {
-                    st = ln.trap(FaultCode::BadAction, e.what());
-                }
+                st = ln.run_guarded([&] {
+                    return run_steps_body(ln, chunk, blk.state_ix[k]);
+                });
             }
             if (st == LaneStatus::Running) {
                 if (blk.trap_at[k] != 0 &&
@@ -918,6 +502,136 @@ ThreadedEngine::run_block(LaneBlock &blk)
             }
         }
     }
+}
+
+LaneStatus
+ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
+{
+    const CompiledProgram &cp = *ln.compiled_;
+    const DecodedProgram &dec = cp.decoded();
+    LaneStats &st = ln.stats_;
+    ThreadedCtx c;
+    c.ops = cp.ops();
+    c.nops = cp.op_count();
+    c.sentinel = cp.sentinel();
+
+    // Arc actions run on the compiled op stream; their charges are
+    // flushed at once, so the watchdog and trap checks below read the
+    // live cycle count.  The result of the chain is ignored in NFA mode.
+    const auto fire = [&](const Transition &t) {
+        std::size_t act;
+        if (!ln.attach_addr(t, act))
+            return;
+        try {
+            exec_chain(ln, c,
+                       act < c.nops ? static_cast<std::uint32_t>(act)
+                                    : c.sentinel);
+        } catch (...) {
+            flush(ln, c); // the fault record reads stats_.cycles
+            throw;
+        }
+        flush(ln, c);
+    };
+
+    // Active-state set with epsilon closure on activation. Frontier order
+    // is deterministic; duplicates are suppressed with a stamp array.
+    // Active entries are full word addresses.
+    std::vector<std::size_t> active{ln.prog_->entry};
+    std::vector<std::size_t> next;
+    std::vector<std::uint32_t> stamp(dec.dispatch_words(), 0);
+    std::uint32_t generation = 0;
+
+    auto close = [&](std::vector<std::size_t> &set) {
+        ++generation;
+        for (auto b : set)
+            stamp[b] = generation;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const DecodedState *ds = dec.state_at(set[i]);
+            if (!ds)
+                throw UdpFaultError(
+                    FaultCode::BadDispatch,
+                    "Lane: NFA activation of unknown state");
+            for (const Transition *t = dec.eps_begin(*ds),
+                                  *e = dec.eps_end(*ds);
+                 t != e; ++t) {
+                const std::size_t tgt = ln.dispatch_base_ + t->target;
+                if (stamp[tgt] == generation)
+                    continue;
+                // Epsilon activation costs one dispatch cycle.
+                ++st.cycles;
+                ++st.dispatches;
+                ++st.dispatch_reads;
+                stamp[tgt] = generation;
+                set.push_back(tgt);
+                fire(*t);
+            }
+        }
+    };
+
+    close(active);
+    const unsigned width = ln.symbol_bits_;
+
+    while (!active.empty() && st.cycles < max_cycles) {
+        if (ln.trap_cycle_ != 0 && st.cycles >= ln.trap_cycle_)
+            return ln.trap(FaultCode::ForcedTrap,
+                           "Lane: forced trap (fault injection)");
+        if (ln.sb_.exhausted(width))
+            return LaneStatus::Done;
+        const Word sym = ln.fetch_symbol_bits(width);
+
+        next.clear();
+        ++generation;
+        for (const auto cur : active) {
+            const DecodedState *ds = dec.state_at(cur);
+            if (!ds)
+                throw UdpFaultError(
+                    FaultCode::BadDispatch,
+                    "Lane: NFA dispatch into unknown state");
+
+            ++st.dispatches;
+            ++st.cycles;
+
+            const Transition *taken = nullptr;
+            const std::size_t slot = std::size_t{ds->base} + sym;
+            if (slot < dec.dispatch_words() && sym <= ds->max_symbol) {
+                ++st.dispatch_reads;
+                const Transition &t = dec.transition(slot);
+                if (t.type == kInvalidTransitionType)
+                    decode_transition(ln.prog_->dispatch[slot]); // throws
+                if (t.signature == ds->signature &&
+                    (t.type == TransitionType::Labeled ||
+                     t.type == TransitionType::Refill))
+                    taken = &t;
+            }
+            if (!taken) {
+                ++st.sig_misses;
+                ++st.cycles;
+                st.dispatch_reads += ds->miss_nfa_reads;
+                if (ds->has_miss_nfa)
+                    taken = &ds->miss_nfa;
+            }
+            // No arc: this activation dies after its charges.
+            if (!taken)
+                continue;
+            const std::size_t tgt = ln.dispatch_base_ + taken->target;
+            if (stamp[tgt] != generation) {
+                stamp[tgt] = generation;
+                next.push_back(tgt);
+                // Activation happens once per step; arc actions fire
+                // with the first arc that activates the target.
+                fire(*taken);
+            }
+        }
+        close(next);
+        active.swap(next);
+    }
+    if (active.empty())
+        return LaneStatus::Reject;
+    // Loop exit with live activations means the watchdog fired, not a
+    // clean end of stream.
+    return ln.trip_watchdog("Lane: NFA cycle budget (" +
+                            std::to_string(max_cycles) +
+                            ") exhausted before completion");
 }
 
 void
@@ -952,11 +666,10 @@ shared_compiled(const Program &prog)
         if (it != cache.end())
             return it->second;
     }
-    // Build outside the lock (same discipline as shared_decoded): the
-    // lowering cost scales with the image, and concurrent builders of
-    // the same program are harmless.
-    auto cp = std::make_shared<const CompiledProgram>(prog,
-                                                      shared_decoded(prog));
+    // Build outside the lock: the lowering cost scales with the image,
+    // and concurrent builders of the same program are harmless (the
+    // first one inserted wins; both results are equivalent).
+    auto cp = std::make_shared<const CompiledProgram>(prog, nullptr);
     std::lock_guard<std::mutex> lk(mu);
     if (cache.size() >= 128)
         cache.clear(); // crude bound; lanes recompile after a burst

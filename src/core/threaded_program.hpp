@@ -1,17 +1,19 @@
 /**
  * @file
- * Threaded-code execution backend: compile once, dispatch flat.
+ * Threaded-code execution tier: compile once, dispatch flat.
  *
- * The predecoded fast path (decoded_program.hpp) removed per-step
- * decode, but still pays a per-micro-op `switch` in the action unit and
- * walks per-state structures per dispatch.  This layer lowers a
- * `DecodedProgram` once more, into a `CompiledProgram`:
+ * The reference interpreter (lane.cpp) decodes every word at dispatch
+ * time and switches on the opcode per action.  This tier lowers a
+ * program once, through its `DecodedProgram` IR, into a
+ * `CompiledProgram`:
  *
- *  - every action word becomes a `CompiledOp`: a function-pointer
- *    handler plus pre-extracted operands and a pre-resolved successor
- *    index, laid out in one contiguous stream (chains and Gotoact
- *    targets are just `next` links — no switch, no bounds check in the
- *    hot loop; out-of-range fetches land on a trap sentinel op);
+ *  - every action word becomes a `CompiledOp`: a handler plus its
+ *    operands and a pre-resolved successor index, laid out in one
+ *    contiguous stream (chains and Gotoact targets are just `next`
+ *    links — no switch, no bounds check in the hot loop; out-of-range
+ *    fetches land on a trap sentinel op).  The handlers are generated:
+ *    `ThreadedEngine::handler<OP>` instantiates the one opcode
+ *    definition, `Lane::exec_op` (core/action_unit.hpp), per opcode;
  *  - every (state, symbol) pair becomes a `ResolvedArc`: the labeled
  *    slot probe, signature check, auxiliary miss walk and attach
  *    resolution collapse into one table entry holding the exact
@@ -19,18 +21,19 @@
  *    per-step pointer chasing.
  *
  * One compiled image is shared read-only by all 64 lanes and across
- * waves via `shared_compiled()`, the same content-fingerprint cache
- * discipline as `shared_decoded()`.
+ * waves via `shared_compiled()`, a content-fingerprint cache.
  *
  * `ThreadedEngine` interprets the compiled image for a single lane
- * (resumable, `step_once`-compatible) or for a whole `LaneBlock` — the
+ * (resumable, `step_once`-compatible), for a whole `LaneBlock` — the
  * struct-of-arrays batch of resident lanes that `Machine::run_parallel`
- * steps in lockstep chunks on one host thread.
+ * steps in lockstep chunks on one host thread — and in NFA mode, over
+ * the per-state epsilon and fallback chains of the DecodedProgram IR.
  *
- * Like predecoding, this tier is purely host-performance: simulated
- * counters, outputs, accepts, faults and trap cycles are bit-identical
- * to both interpreter paths (pinned by tests/test_threaded.cpp).
- * Select tiers with UDP_SIM_BACKEND=legacy|predecode|threaded or
+ * This tier is purely host-performance: simulated counters, outputs,
+ * accepts, faults and trap cycles are bit-identical to the reference
+ * interpreter (pinned by tests/test_threaded.cpp).  It runs no tracer
+ * or profiler hooks; instrumented lanes take the reference interpreter.
+ * Select tiers with UDP_SIM_BACKEND=legacy|threaded or
  * `set_sim_backend()` (decoded_program.hpp).
  */
 #pragma once
@@ -65,9 +68,6 @@ struct ThreadedCtx {
     std::uint64_t stream_bits = 0; ///< wrapping (refills subtract)
 };
 
-/// Exit disposition of one compiled micro-op.
-enum class OpExit : std::uint8_t { Next, Done, Reject };
-
 using OpFn = OpExit (*)(Lane &, ThreadedCtx &, const CompiledOp &);
 
 /// One lowered action word: handler + pre-extracted operands + the
@@ -76,7 +76,6 @@ struct CompiledOp {
     OpFn fn = nullptr;
     std::uint32_t next = 0; ///< ops index to continue at when !last
     std::int32_t imm = 0;
-    Word imm_w = 0;         ///< imm pre-cast to Word (the common use)
     std::uint8_t dst = 0;
     std::uint8_t ref = 0;
     std::uint8_t src = 0;
@@ -123,8 +122,9 @@ struct CompiledState {
 
 /**
  * The threaded-code image.  Built once per program from its
- * DecodedProgram; immutable after, so one instance is safely shared
- * read-only across lanes, waves and host threads.
+ * DecodedProgram IR (built here when `dec` is null); immutable after,
+ * so one instance is safely shared read-only across lanes, waves and
+ * host threads.
  */
 class CompiledProgram
 {
@@ -154,11 +154,9 @@ class CompiledProgram
     bool dyn_action() const { return dyn_action_; }
     std::uint32_t init_dispatch_base() const { return init_dispatch_base_; }
 
-    /// The decoded image this was lowered from (kept alive for the NFA
-    /// executor and the instrumented loops, which run on it).
-    const std::shared_ptr<const DecodedProgram> &decoded_shared() const {
-        return decoded_;
-    }
+    /// The IR this was lowered from (NFA mode walks its per-state
+    /// epsilon and fallback chains).
+    const DecodedProgram &decoded() const { return *decoded_; }
 
     /// Content fingerprint of the source program (the cache key).
     std::uint64_t fingerprint() const { return fingerprint_; }
@@ -185,9 +183,9 @@ class CompiledProgram
 
 /**
  * Process-wide compiled-image cache: the shared CompiledProgram for
- * `prog`, built (via `shared_decoded`) on first use.  Keyed by content
- * fingerprint, same sharing/lifetime discipline as shared_decoded().
- * Thread-safe.
+ * `prog`, built on first use.  Keyed by content fingerprint, so 64
+ * lanes loading the same program (or a copy of it) share one image, and
+ * a mutated program gets a fresh one.  Thread-safe.
  */
 std::shared_ptr<const CompiledProgram> shared_compiled(const Program &prog);
 
@@ -219,8 +217,8 @@ struct LaneBlock {
 /**
  * The threaded-code interpreter.  A friend of Lane/StreamBuffer: it
  * *is* the lane's inner loop for the Threaded backend, entered from
- * Lane::run_steps / Lane::step_once (single lane, resumable) or from
- * Machine::run_parallel (LaneBlock batches).
+ * Lane::run_steps / Lane::step_once (single lane, resumable),
+ * Lane::run_nfa, or Machine::run_parallel (LaneBlock batches).
  */
 class ThreadedEngine
 {
@@ -235,6 +233,11 @@ class ThreadedEngine
     static LaneStatus run_steps_body(Lane &ln, std::uint64_t n,
                                      std::int32_t &carry);
 
+    /// NFA mode to completion (or the `max_cycles` watchdog), charging
+    /// exactly what the reference run_nfa does.  Call inside
+    /// Lane::run_guarded.
+    static LaneStatus run_nfa(Lane &ln, std::uint64_t max_cycles);
+
     /// Step every live lane of the block to completion in lockstep
     /// chunks, replicating Lane::run's chunk/trap/watchdog boundaries
     /// bit for bit.  Fills LaneBlock::status.
@@ -246,7 +249,12 @@ class ThreadedEngine
     static OpFn oob_fn();     ///< out-of-range fetch trap sentinel
 
   private:
-    struct Ops; // the op handler table (threaded_program.cpp)
+    /// The generated handler of opcode value `OP`: Lane::exec_op with
+    /// the opcode fixed, so its switch folds to one case.
+    template <Opcode OP>
+    static OpExit handler(Lane &ln, ThreadedCtx &c, const CompiledOp &o);
+    static OpExit invalid_op(Lane &ln, ThreadedCtx &c, const CompiledOp &o);
+    static OpExit oob_op(Lane &ln, ThreadedCtx &c, const CompiledOp &o);
 
     static LaneStatus exec_chain(Lane &ln, ThreadedCtx &c,
                                  std::uint32_t ix);

@@ -4,9 +4,6 @@
  */
 #include "fault_injection.hpp"
 
-#include "core/decoded_program.hpp"
-#include "core/threaded_program.hpp"
-
 namespace udp::runtime {
 
 namespace {
@@ -16,7 +13,7 @@ namespace {
 constexpr Word kPoisonDispatchWord = Word{7u} << 8;
 
 /// Undefined opcode 0x7F in the opcode field: fetching it faults with
-/// BadAction on both interpreter paths.
+/// BadAction on both interpreter tiers.
 constexpr Word kPoisonActionWord = Word{0x7Fu} << 25;
 
 } // namespace
@@ -51,27 +48,12 @@ FaultInjector::own_program(JobPlan &plan)
 }
 
 void
-FaultInjector::refresh_decoded(JobPlan &plan)
-{
-    // The shared images are keyed by program content; after a mutation
-    // the plan must not keep running the stale (clean) ones.
-    const SimBackend backend = sim_backend();
-    plan.compiled = backend == SimBackend::Threaded
-                        ? shared_compiled(*plan.program)
-                        : nullptr;
-    plan.decoded = backend == SimBackend::Legacy
-                       ? nullptr
-                       : (plan.compiled ? plan.compiled->decoded_shared()
-                                        : shared_decoded(*plan.program));
-}
-
-void
 FaultInjector::poison_program(JobPlan &plan)
 {
     auto owned = own_program(plan);
     for (Word &w : owned->dispatch)
         w = kPoisonDispatchWord;
-    refresh_decoded(plan);
+    plan.resolve_image();
 }
 
 void
@@ -81,7 +63,7 @@ FaultInjector::poison_dispatch_word(JobPlan &plan, std::size_t slot)
     if (slot >= owned->dispatch.size())
         throw UdpError("FaultInjector: dispatch slot out of range");
     owned->dispatch[slot] = kPoisonDispatchWord;
-    refresh_decoded(plan);
+    plan.resolve_image();
 }
 
 void
@@ -91,7 +73,7 @@ FaultInjector::poison_action_word(JobPlan &plan, std::size_t addr)
     if (addr >= owned->actions.size())
         throw UdpError("FaultInjector: action address out of range");
     owned->actions[addr] = kPoisonActionWord;
-    refresh_decoded(plan);
+    plan.resolve_image();
 }
 
 std::size_t
@@ -103,7 +85,7 @@ FaultInjector::flip_program_bit(JobPlan &plan)
     const std::size_t slot = next_below(owned->dispatch.size());
     const unsigned bit = static_cast<unsigned>(next_below(32));
     owned->dispatch[slot] ^= Word{1u} << bit;
-    refresh_decoded(plan);
+    plan.resolve_image();
     return slot;
 }
 

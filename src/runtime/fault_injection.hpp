@@ -10,7 +10,7 @@
  * faults — in tests, in bench_faults, under any thread count.
  *
  * Program mutations copy-on-write: the plan gets its own mutated
- * `Program` (and a freshly resolved predecoded image, keyed by the new
+ * `Program` (and a freshly resolved compiled image, keyed by the new
  * content fingerprint), so other plans sharing the original program are
  * untouched — which is exactly what the containment proof measures.
  *
@@ -42,7 +42,7 @@ class FaultInjector
      * Overwrite every dispatch word with a reserved-transition-type
      * encoding: the decoded image still builds (lenient sentinels), but
      * the very first dispatch faults with FaultCode::BadDispatch on
-     * both interpreter paths.  The guaranteed-fault probe.
+     * both interpreter tiers.  The guaranteed-fault probe.
      */
     void poison_program(JobPlan &plan);
 
@@ -77,10 +77,9 @@ class FaultInjector
     void force_trap(JobPlan &plan, Cycles at, unsigned attempts = ~0u);
 
   private:
-    /// Copy-on-write: give `plan` its own Program and re-resolve the
-    /// predecoded image after mutation.
+    /// Copy-on-write: give `plan` its own Program (callers re-resolve
+    /// the plan's image after mutating it).
     std::shared_ptr<Program> own_program(JobPlan &plan);
-    void refresh_decoded(JobPlan &plan);
 
     std::uint64_t state_;
 };

@@ -66,11 +66,9 @@ struct MemExtract {
 struct JobPlan {
     std::string name;
     std::shared_ptr<const Program> program;
-    /// Shared predecoded image of `program`, resolved once per job (not
-    /// once per lane) by KernelSpec::make_job; null on the legacy path.
-    std::shared_ptr<const DecodedProgram> decoded;
-    /// Shared threaded-code image (core/threaded_program.hpp), resolved
-    /// the same way; null unless the Threaded backend is active.
+    /// Shared threaded-code image of `program` (core/threaded_program.hpp),
+    /// resolved once per job (not once per lane) by resolve_image(); null
+    /// unless the Threaded backend is active.
     std::shared_ptr<const CompiledProgram> compiled;
     /// Stream contents: a non-owning view pinned by its InputArena.
     /// Assigning a `Bytes` materializes a private arena (one move).
@@ -93,6 +91,15 @@ struct JobPlan {
     // one that succeeds once the Scheduler retries past that count.
     Cycles force_trap_cycle = 0;
     unsigned trap_attempts = ~0u; ///< default: trap on every attempt
+
+    /// (Re)resolve `compiled` for `program` under the active backend.
+    /// KernelSpec::make_job calls it once per job, FaultInjector again
+    /// after each program mutation, so a plan never runs a stale image.
+    void resolve_image() {
+        compiled = program && sim_backend() == SimBackend::Threaded
+                       ? shared_compiled(*program)
+                       : nullptr;
+    }
 
     /// Local-memory banks the job's window occupies (>= 1).
     unsigned banks() const {

@@ -19,15 +19,7 @@ KernelSpec::make_job(ArenaSlice input) const
     JobPlan p;
     p.name = name;
     p.program = program;
-    // Resolve the shared images once per job; every lane the scheduler
-    // assigns this job to reuses them without a cache lookup.
-    const SimBackend backend = sim_backend();
-    p.compiled = backend == SimBackend::Threaded ? shared_compiled(*program)
-                                                 : nullptr;
-    p.decoded = backend == SimBackend::Legacy
-                    ? nullptr
-                    : (p.compiled ? p.compiled->decoded_shared()
-                                  : shared_decoded(*program));
+    p.resolve_image();
     p.input = std::move(input);
     p.window_bytes = window_bytes;
     p.nfa_mode = nfa_mode;

@@ -1,9 +1,17 @@
 /**
  * @file
- * Semantic unit tests for every action opcode the kernels rely on,
- * executed through real programs on a lane (not by poking internals).
+ * Semantic unit tests for every action opcode, executed through real
+ * programs on a lane (not by poking internals).
+ *
+ * Every program runs on both interpreter tiers: the reference
+ * interpreter, then the threaded tier.  The two must agree on the whole
+ * observable outcome, and each test's own expectations then read the
+ * threaded lane — so opcodes no kernel emits (Crc, Hash2, Sari, Select,
+ * Outbitsr, Setab, ...) have their one shared definition checked on
+ * both tiers.
  */
 #include "assembler/builder.hpp"
+#include "core/decoded_program.hpp"
 #include "core/lane.hpp"
 
 #include <gtest/gtest.h>
@@ -11,45 +19,76 @@
 namespace udp {
 namespace {
 
-/// Run a single action block to completion and return the lane.
+/// Run programs on both tiers and require identical outcomes.
 struct ActionRunner {
+    LocalMemory ref_mem{AddressingMode::Restricted};
+    Lane ref{0, ref_mem}; ///< reference interpreter
     LocalMemory mem{AddressingMode::Restricted};
-    Lane lane{0, mem};
+    Lane lane{0, mem};    ///< threaded tier: what the tests inspect
     Bytes input{'x', 'y', 'z', 'w'};
+    Program prog;
 
+    /// Run `p` over `in` on both tiers, expect the same status, stats,
+    /// registers, output, accepts, fault record and local memory, and
+    /// return the status.
+    LaneStatus run_program(const Program &p, BytesView in,
+                           std::vector<std::pair<unsigned, Word>> init = {}) {
+        LaneStatus st[2];
+        Lane *lanes[2] = {&ref, &lane};
+        const SimBackend tiers[2] = {SimBackend::Legacy,
+                                     SimBackend::Threaded};
+        for (int i = 0; i < 2; ++i) {
+            set_sim_backend(tiers[i]);
+            lanes[i]->load(p);
+            lanes[i]->set_input(in);
+            for (const auto &[r, v] : init)
+                lanes[i]->set_reg(r, v);
+            st[i] = lanes[i]->run();
+        }
+        set_sim_backend(SimBackend::Threaded); // the process default
+        EXPECT_EQ(ref.compiled(), nullptr);
+        EXPECT_NE(lane.compiled(), nullptr);
+
+        EXPECT_EQ(st[0], st[1]);
+        EXPECT_EQ(ref.stats(), lane.stats());
+        for (unsigned r = 0; r < kNumScalarRegs; ++r)
+            EXPECT_EQ(ref.reg(r), lane.reg(r)) << "r" << r;
+        EXPECT_EQ(ref.output(), lane.output());
+        EXPECT_EQ(ref.accepts().size(), lane.accepts().size());
+        EXPECT_EQ(ref.fault().code, lane.fault().code);
+        EXPECT_EQ(ref.fault().cycle, lane.fault().cycle);
+        EXPECT_EQ(ref.fault().detail, lane.fault().detail);
+        EXPECT_TRUE(ref_mem.raw() == mem.raw()) << "local memory differs";
+        return st[1];
+    }
+
+    /// Run a single action block to completion.
     Lane &run(std::vector<Action> actions,
               std::vector<std::pair<unsigned, Word>> init = {}) {
-        actions.push_back(act_imm(Opcode::Halt, 0, 0, 0, true));
-        ProgramBuilder b;
-        const StateId s = b.add_state();
-        b.on_any(s, s, b.add_block(std::move(actions)));
-        b.set_entry(s);
-        prog = b.build();
-        lane.load(prog);
-        lane.set_input(input);
-        for (const auto &[r, v] : init)
-            lane.set_reg(r, v);
-        EXPECT_EQ(lane.run(), LaneStatus::Done);
+        prog = block_program(std::move(actions));
+        EXPECT_EQ(run_program(prog, input, std::move(init)),
+                  LaneStatus::Done);
         return lane;
     }
 
     /// Variant for blocks that must trap: asserts the lane faults with
     /// the expected code instead of completing.
     Lane &run_faulting(std::vector<Action> actions, FaultCode expect) {
+        prog = block_program(std::move(actions));
+        EXPECT_EQ(run_program(prog, input), LaneStatus::Faulted);
+        EXPECT_EQ(lane.fault().code, expect);
+        return lane;
+    }
+
+    /// One self-looping state running `actions` then Halt on any symbol.
+    static Program block_program(std::vector<Action> actions) {
         actions.push_back(act_imm(Opcode::Halt, 0, 0, 0, true));
         ProgramBuilder b;
         const StateId s = b.add_state();
         b.on_any(s, s, b.add_block(std::move(actions)));
         b.set_entry(s);
-        prog = b.build();
-        lane.load(prog);
-        lane.set_input(input);
-        EXPECT_EQ(lane.run(), LaneStatus::Faulted);
-        EXPECT_EQ(lane.fault().code, expect);
-        return lane;
+        return b.build();
     }
-
-    Program prog;
 };
 
 struct ActionsFixture : ::testing::Test, ActionRunner {
@@ -250,9 +289,7 @@ TEST_F(ActionsFixture, GotoactChainsBlocks)
     // Confirm the layout assumption before relying on it.
     ASSERT_EQ(decode_action(p.actions[0]).op, Opcode::Addi);
 
-    lane.load(p);
-    lane.set_input(input);
-    EXPECT_EQ(lane.run(), LaneStatus::Done);
+    EXPECT_EQ(run_program(p, input), LaneStatus::Done);
     EXPECT_EQ(lane.reg(2), 105u); // 5 + 100 via the shared tail
 }
 
@@ -280,9 +317,7 @@ TEST_F(ActionsFixture, SetabRedirectsScaledBlocks)
     // exhausts so the sink's register write survives.
     const Bytes in16{static_cast<std::uint8_t>(299 >> 8),
                      static_cast<std::uint8_t>(299 & 0xFF)};
-    lane.load(p);
-    lane.set_input(in16);
-    lane.run();
+    run_program(p, in16);
     EXPECT_EQ(lane.reg(1), 299u);
 }
 
@@ -303,9 +338,7 @@ TEST_F(ActionsFixture, FailStopsWithReject)
     b.on_any(s, s, b.add_block({act_imm(Opcode::Fail, 0, 0, 0, true)}));
     b.set_entry(s);
     const Program p = b.build();
-    lane.load(p);
-    lane.set_input(input);
-    EXPECT_EQ(lane.run(), LaneStatus::Reject);
+    EXPECT_EQ(run_program(p, input), LaneStatus::Reject);
 }
 
 TEST_F(ActionsFixture, IllegalConfigurationsFaultTheLane)

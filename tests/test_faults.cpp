@@ -4,7 +4,7 @@
  *
  * Three layers: the malformed-image corpus (corrupt programs must trap
  * with the right structured FaultCode, never escape as host exceptions,
- * down both interpreter paths); the lane-level watchdog and forced-trap
+ * down both interpreter tiers); the lane-level watchdog and forced-trap
  * machinery; and end-to-end containment through the wave Scheduler with
  * the deterministic FaultInjector — serial and threaded backends (this
  * file runs under the CI ThreadSanitizer job).
@@ -28,10 +28,13 @@ namespace {
 
 using namespace kernels;
 
-/// Restore the default interpreter path when a test exits early.
-struct PredecodeGuard {
-    ~PredecodeGuard() { set_predecode_enabled(true); }
+/// Restore the default tier (Threaded) when a test exits early.
+struct BackendGuard {
+    ~BackendGuard() { set_sim_backend(SimBackend::Threaded); }
 };
+
+/// Both interpreter tiers, fast one first.
+constexpr SimBackend kTiers[] = {SimBackend::Threaded, SimBackend::Legacy};
 
 /// Run `prog` over `input` on a fresh lane and expect a trap with
 /// `code`, on whichever interpreter path is currently enabled.
@@ -82,7 +85,7 @@ TEST(Malformed, DecoderErrorsCarryFaultCodes)
 
 TEST(Malformed, CorpusFaultsWithRightCodeOnBothPaths)
 {
-    PredecodeGuard guard;
+    BackendGuard guard;
     const Bytes input(16, 'a');
 
     struct Case {
@@ -132,9 +135,9 @@ TEST(Malformed, CorpusFaultsWithRightCodeOnBothPaths)
 
     for (const auto &c : corpus) {
         SCOPED_TRACE(c.name);
-        for (const bool predecode : {true, false}) {
-            SCOPED_TRACE(predecode ? "predecode" : "legacy");
-            set_predecode_enabled(predecode);
+        for (const SimBackend backend : kTiers) {
+            SCOPED_TRACE(sim_backend_name(backend));
+            set_sim_backend(backend);
             expect_fault(c.prog, input, c.expect);
         }
     }
@@ -144,7 +147,7 @@ TEST(Malformed, OversizedEmitlutEntryFaults)
 {
     // An EMITLUT table entry claiming more than 15 bytes is a corrupt
     // table, not a crash: BadAction on both paths.
-    PredecodeGuard guard;
+    BackendGuard guard;
     ProgramBuilder b;
     const StateId s = b.add_state();
     b.on_symbol(s, 'a', s,
@@ -153,9 +156,9 @@ TEST(Malformed, OversizedEmitlutEntryFaults)
     const Program prog = b.build();
     const Bytes input(4, 'a');
 
-    for (const bool predecode : {true, false}) {
-        SCOPED_TRACE(predecode ? "predecode" : "legacy");
-        set_predecode_enabled(predecode);
+    for (const SimBackend backend : kTiers) {
+        SCOPED_TRACE(sim_backend_name(backend));
+        set_sim_backend(backend);
         LocalMemory mem;
         Lane lane(0, mem);
         lane.load(prog);
@@ -301,19 +304,19 @@ TEST(FaultInjection, ProgramMutationsCopyOnWrite)
     // Job 0 got its own mutated copy; job 1 still runs the clean image.
     EXPECT_NE(jobs[0].program.get(), shared_before.get());
     EXPECT_EQ(jobs[1].program.get(), shared_before.get());
-    // The predecoded image was re-resolved for the mutated content.
-    ASSERT_NE(jobs[0].decoded, nullptr);
-    EXPECT_NE(jobs[0].decoded.get(), jobs[1].decoded.get());
-    EXPECT_EQ(jobs[0].decoded->fingerprint(),
+    // The compiled image was re-resolved for the mutated content.
+    ASSERT_NE(jobs[0].compiled, nullptr);
+    EXPECT_NE(jobs[0].compiled.get(), jobs[1].compiled.get());
+    EXPECT_EQ(jobs[0].compiled->fingerprint(),
               program_fingerprint(*jobs[0].program));
 }
 
 TEST(FaultInjection, ContainmentAcrossBackendsAndPaths)
 {
-    PredecodeGuard guard;
-    for (const bool predecode : {true, false}) {
-        SCOPED_TRACE(predecode ? "predecode" : "legacy");
-        set_predecode_enabled(predecode);
+    BackendGuard guard;
+    for (const SimBackend backend : kTiers) {
+        SCOPED_TRACE(sim_backend_name(backend));
+        set_sim_backend(backend);
         for (const unsigned threads : {1u, 8u}) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
             auto jobs = detail::histogram_jobs(16);

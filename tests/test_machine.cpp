@@ -224,42 +224,6 @@ TEST(MachineFailure, RunParallelContainsOneFaultyLane)
     }
 }
 
-TEST(MachineFailure, DeprecatedRethrowHatchSurfacesEveryFault)
-{
-    ProgramBuilder b;
-    const StateId s = b.add_state();
-    b.on_symbol(s, 'a', s);
-    b.set_entry(s);
-    const Program good_prog = b.build();
-    Program bad_prog = good_prog;
-    for (Word &w : bad_prog.dispatch)
-        w = Word{7u} << 8;
-
-    const Bytes input(8, 'a');
-    Machine m;
-    std::vector<JobSpec> jobs(4);
-    for (unsigned i = 0; i < jobs.size(); ++i) {
-        jobs[i].program = i >= 2 ? &bad_prog : &good_prog;
-        jobs[i].input = input;
-        jobs[i].window_base = i * kBankBytes;
-    }
-    m.assign(std::move(jobs));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    m.set_rethrow_faults(true);
-#pragma GCC diagnostic pop
-    try {
-        m.run_parallel();
-        FAIL() << "expected the rethrow hatch to throw";
-    } catch (const UdpFaultError &e) {
-        EXPECT_EQ(e.code(), FaultCode::BadDispatch);
-        // Both faulty lanes are reported, not just the first.
-        const std::string what = e.what();
-        EXPECT_NE(what.find("lane 2"), std::string::npos);
-        EXPECT_NE(what.find("lane 3"), std::string::npos);
-    }
-}
-
 TEST(MachineEnergy, EnergyScalesWithActiveLanes)
 {
     const Program prog = [] {

@@ -1,17 +1,21 @@
 /**
  * @file
- * Predecode equivalence properties (docs/PERFORMANCE.md).
+ * Predecoded fast tier vs the decode-per-step reference
+ * (docs/PERFORMANCE.md).
  *
- * The fast interpreter path over a shared `DecodedProgram` must be
- * observationally identical to the legacy decode-per-step path for
- * every kernel in src/kernels: bit-identical `LaneStats`, registers,
- * outputs, accepts, memory extracts, trace event streams, and profiler
- * aggregates.  Only host time may differ.
+ * The threaded tier, which runs programs predecoded and compiled, must
+ * be observationally identical to the reference interpreter for every
+ * kernel in src/kernels: an *uninstrumented* threaded run matches an
+ * instrumented reference run on status, `LaneStats`, registers,
+ * outputs, accepts and memory extracts.  A traced or profiled lane runs
+ * on the reference interpreter whichever backend is selected, so its
+ * trace event stream and profiler aggregates do not depend on the
+ * backend either.  Only host time may differ.
  *
  * Also pinned here: the resumable `step_once` entry (lockstep mode),
- * the content-keyed shared decode cache, and the thread-safety of one
- * DecodedProgram shared across concurrently simulated lanes (this file
- * runs under the CI ThreadSanitizer job).
+ * the backend toggle, and the thread-safety of one compiled image (and
+ * its DecodedProgram IR) shared across concurrently simulated lanes
+ * (this file runs under the CI ThreadSanitizer job).
  */
 #include "assembler/builder.hpp"
 #include "baselines/dictionary.hpp"
@@ -19,6 +23,7 @@
 #include "baselines/huffman.hpp"
 #include "baselines/snappy.hpp"
 #include "core/decoded_program.hpp"
+#include "core/threaded_program.hpp"
 #include "core/machine.hpp"
 #include "core/profile.hpp"
 #include "core/trace.hpp"
@@ -44,9 +49,9 @@ namespace {
 using namespace udp;
 using namespace udp::kernels;
 
-/// Restore the default interpreter path when a test exits early.
-struct PredecodeGuard {
-    ~PredecodeGuard() { set_predecode_enabled(true); }
+/// Restore the default tier (Threaded) when a test exits early.
+struct BackendGuard {
+    ~BackendGuard() { set_sim_backend(SimBackend::Threaded); }
 };
 
 /// Everything observable from one instrumented job run.
@@ -60,11 +65,12 @@ struct RunCapture {
     std::map<Opcode, std::pair<std::uint64_t, Cycles>> actions;
 };
 
+/// Run `plan` with a tracer and profiler attached under `backend`.
 RunCapture
-run_path(const runtime::JobPlan &plan, bool predecode)
+run_path(const runtime::JobPlan &plan, SimBackend backend)
 {
-    PredecodeGuard guard;
-    set_predecode_enabled(predecode);
+    BackendGuard guard;
+    set_sim_backend(backend);
 
     Machine m(AddressingMode::Restricted);
     Tracer tracer;
@@ -74,7 +80,8 @@ run_path(const runtime::JobPlan &plan, bool predecode)
 
     RunCapture c;
     c.res = runtime::run_job_on(m, 0, 0, plan);
-    EXPECT_EQ(m.lane(0).decoded() != nullptr, predecode);
+    EXPECT_EQ(m.lane(0).compiled() != nullptr,
+              backend == SimBackend::Threaded);
     c.events = tracer.events(0);
     for (const auto &[base, sp] : prof.states())
         c.states[base] = {sp.visits, sp.cycles, sp.sig_misses,
@@ -84,21 +91,43 @@ run_path(const runtime::JobPlan &plan, bool predecode)
     return c;
 }
 
+/// Run `plan` bare (no tracer or profiler) on the threaded tier.
+runtime::JobResult
+run_bare(const runtime::JobPlan &plan)
+{
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Threaded);
+    Machine m(AddressingMode::Restricted);
+    runtime::JobResult res = runtime::run_job_on(m, 0, 0, plan);
+    EXPECT_NE(m.lane(0).compiled(), nullptr);
+    return res;
+}
+
+/// Architectural equality: status, stats, registers, output, extracts
+/// and accepts.
+void
+expect_same_result(const runtime::JobResult &fast,
+                   const runtime::JobResult &legacy)
+{
+    EXPECT_EQ(fast.status, legacy.status);
+    EXPECT_EQ(fast.stats, legacy.stats);
+    EXPECT_EQ(fast.regs, legacy.regs);
+    EXPECT_EQ(fast.output, legacy.output);
+    EXPECT_EQ(fast.extracts, legacy.extracts);
+
+    ASSERT_EQ(fast.accepts.size(), legacy.accepts.size());
+    for (std::size_t i = 0; i < fast.accepts.size(); ++i) {
+        EXPECT_EQ(fast.accepts[i].stream_bit_pos,
+                  legacy.accepts[i].stream_bit_pos);
+        EXPECT_EQ(fast.accepts[i].id, legacy.accepts[i].id);
+    }
+}
+
+/// Architectural equality plus identical trace and profile streams.
 void
 expect_identical(const RunCapture &fast, const RunCapture &legacy)
 {
-    EXPECT_EQ(fast.res.status, legacy.res.status);
-    EXPECT_EQ(fast.res.stats, legacy.res.stats);
-    EXPECT_EQ(fast.res.regs, legacy.res.regs);
-    EXPECT_EQ(fast.res.output, legacy.res.output);
-    EXPECT_EQ(fast.res.extracts, legacy.res.extracts);
-
-    ASSERT_EQ(fast.res.accepts.size(), legacy.res.accepts.size());
-    for (std::size_t i = 0; i < fast.res.accepts.size(); ++i) {
-        EXPECT_EQ(fast.res.accepts[i].stream_bit_pos,
-                  legacy.res.accepts[i].stream_bit_pos);
-        EXPECT_EQ(fast.res.accepts[i].id, legacy.res.accepts[i].id);
-    }
+    expect_same_result(fast.res, legacy.res);
 
     ASSERT_EQ(fast.events.size(), legacy.events.size());
     for (std::size_t i = 0; i < fast.events.size(); ++i) {
@@ -209,24 +238,28 @@ TEST(Predecode, EveryKernelBitIdenticalToLegacyPath)
 {
     for (const auto &[name, plan] : kernel_plans()) {
         SCOPED_TRACE(name);
-        const RunCapture fast = run_path(plan, true);
-        const RunCapture legacy = run_path(plan, false);
-        expect_identical(fast, legacy);
+        const runtime::JobResult fast = run_bare(plan);
+        const RunCapture legacy = run_path(plan, SimBackend::Legacy);
+        expect_same_result(fast, legacy.res);
+        // Instrumented lanes take the reference interpreter under either
+        // backend, so the event streams cannot depend on the selection.
+        expect_identical(run_path(plan, SimBackend::Threaded), legacy);
         // Guard against degenerate plans that would vacuously pass.
-        EXPECT_GT(fast.res.stats.cycles, 0u) << name;
+        EXPECT_GT(fast.stats.cycles, 0u) << name;
+        EXPECT_GT(legacy.events.size(), 0u) << name;
     }
 }
 
 TEST(Predecode, UninstrumentedRunsMatchInstrumentedCounters)
 {
-    // The Instrumented/uninstrumented loop split must not leak into the
-    // simulated counters: a bare run charges exactly what a fully
-    // instrumented one does.
+    // Routing instrumented lanes to the reference interpreter must not
+    // leak into the simulated counters: a bare run charges exactly what
+    // a fully instrumented one does.
     for (const auto &[name, plan] : kernel_plans()) {
         SCOPED_TRACE(name);
         Machine bare(AddressingMode::Restricted);
         const auto res = runtime::run_job_on(bare, 0, 0, plan);
-        const RunCapture instr = run_path(plan, true);
+        const RunCapture instr = run_path(plan, SimBackend::Threaded);
         EXPECT_EQ(res.stats, instr.res.stats);
         EXPECT_EQ(res.output, instr.res.output);
     }
@@ -234,7 +267,7 @@ TEST(Predecode, UninstrumentedRunsMatchInstrumentedCounters)
 
 TEST(Predecode, StepOnceMatchesRunSteps)
 {
-    // step_once carries the decoded state across calls (resume_ds_);
+    // step_once carries the compiled state across calls (resume_cs_);
     // stepping a lane one dispatch at a time must track run_steps(1)
     // exactly, including interleaved use of both entries.
     const std::string text = workloads::crimes_csv(10);
@@ -265,13 +298,13 @@ TEST(Predecode, StepOnceMatchesRunSteps)
 
 TEST(Predecode, LockstepBitIdenticalAcrossPaths)
 {
-    PredecodeGuard guard;
+    BackendGuard guard;
     const std::string text = workloads::crimes_csv(20);
     const Bytes data(text.begin(), text.end());
     const auto plan = csv_kernel_spec().make_job(data);
 
-    const auto run_lockstep = [&](bool predecode) {
-        set_predecode_enabled(predecode);
+    const auto run_lockstep = [&](SimBackend backend) {
+        set_sim_backend(backend);
         Machine m(AddressingMode::Restricted);
         std::vector<JobSpec> jobs(4);
         for (unsigned i = 0; i < 4; ++i) {
@@ -285,8 +318,8 @@ TEST(Predecode, LockstepBitIdenticalAcrossPaths)
         return m.run_lockstep();
     };
 
-    const MachineResult fast = run_lockstep(true);
-    const MachineResult legacy = run_lockstep(false);
+    const MachineResult fast = run_lockstep(SimBackend::Threaded);
+    const MachineResult legacy = run_lockstep(SimBackend::Legacy);
     EXPECT_EQ(fast.wall_cycles, legacy.wall_cycles);
     EXPECT_EQ(fast.total, legacy.total);
     EXPECT_EQ(fast.status, legacy.status);
@@ -294,30 +327,12 @@ TEST(Predecode, LockstepBitIdenticalAcrossPaths)
         << "lockstep arbitration should see bank conflicts here";
 }
 
-TEST(Predecode, SharedCacheReturnsOneImagePerProgramContent)
-{
-    const Program prog = csv_parser_program();
-    const auto a = shared_decoded(prog);
-    const auto b = shared_decoded(prog);
-    EXPECT_EQ(a.get(), b.get());
-
-    // A content-identical copy maps to the same image; the cache is
-    // keyed by fingerprint, not address.
-    const Program copy = prog;
-    EXPECT_EQ(shared_decoded(copy).get(), a.get());
-    EXPECT_EQ(a->fingerprint(), program_fingerprint(copy));
-
-    // Mutated content gets its own image.
-    Program other = prog;
-    other.dispatch[other.entry] ^= 1u;
-    EXPECT_NE(shared_decoded(other).get(), a.get());
-}
-
 TEST(Predecode, ThreadedWavesShareOneDecodedImage)
 {
     // Many lanes simulated by a thread pool, all running the same
-    // read-only DecodedProgram: TSan (CI) proves the sharing is
-    // race-free, and the totals must match a serial run bit for bit.
+    // read-only compiled image and its DecodedProgram IR: TSan (CI)
+    // proves the sharing is race-free, and the totals must match a
+    // serial run bit for bit.
     const std::string text = workloads::crimes_csv(600);
     const Bytes data(text.begin(), text.end());
 
@@ -346,11 +361,11 @@ TEST(Predecode, ThreadedWavesShareOneDecodedImage)
 TEST(Predecode, FaultCodesAgreeAcrossPaths)
 {
     // A corrupt word on the *taken* path must trap with the same
-    // terminal status and FaultCode on both interpreter paths
+    // terminal status and FaultCode on both interpreter tiers
     // (docs/ROBUSTNESS.md).  Stats at the trap point may differ (the
-    // legacy path decodes eagerly, the fast path faults at fetch), so
+    // reference decodes eagerly, the threaded tier faults at fetch), so
     // parity is status + code level.
-    PredecodeGuard guard;
+    BackendGuard guard;
     const auto make = [] {
         ProgramBuilder b;
         const StateId s = b.add_state();
@@ -388,9 +403,10 @@ TEST(Predecode, FaultCodesAgreeAcrossPaths)
     const Bytes input(8, 'a');
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
-        for (const bool predecode : {true, false}) {
-            SCOPED_TRACE(predecode ? "predecode" : "legacy");
-            set_predecode_enabled(predecode);
+        for (const SimBackend backend :
+             {SimBackend::Threaded, SimBackend::Legacy}) {
+            SCOPED_TRACE(sim_backend_name(backend));
+            set_sim_backend(backend);
             LocalMemory mem;
             Lane lane(0, mem);
             lane.load(c.prog);
@@ -403,18 +419,22 @@ TEST(Predecode, FaultCodesAgreeAcrossPaths)
 
 TEST(Predecode, ToggleControlsThePathLanesTake)
 {
-    PredecodeGuard guard;
+    BackendGuard guard;
     const Program prog = csv_parser_program();
     LocalMemory mem;
     Lane lane(0, mem);
 
-    set_predecode_enabled(true);
+    set_sim_backend(SimBackend::Threaded);
     lane.load(prog);
-    EXPECT_NE(lane.decoded(), nullptr);
+    EXPECT_NE(lane.compiled(), nullptr);
 
-    set_predecode_enabled(false);
+    set_sim_backend(SimBackend::Legacy);
     lane.load(prog);
-    EXPECT_EQ(lane.decoded(), nullptr);
+    EXPECT_EQ(lane.compiled(), nullptr);
+
+    // A pre-resolved image is dropped when the toggle says legacy.
+    lane.load(prog, shared_compiled(prog));
+    EXPECT_EQ(lane.compiled(), nullptr);
 }
 
 } // namespace

@@ -1,23 +1,25 @@
 /**
  * @file
- * Threaded-code backend equivalence properties (docs/PERFORMANCE.md).
+ * Threaded-code tier equivalence properties (docs/PERFORMANCE.md).
  *
  * The threaded-code tier over a shared `CompiledProgram` must be
- * observationally identical to BOTH interpreter paths for every kernel
- * in src/kernels: bit-identical `LaneStats`, registers, outputs,
- * accepts, and memory extracts.  Only host time may differ.
+ * observationally identical to the reference interpreter for every
+ * kernel in src/kernels, in DFA and NFA mode: bit-identical
+ * `LaneStats`, registers, outputs, accepts, and memory extracts.  Only
+ * host time may differ.
  *
  * Fault behaviour is pinned against the FaultInjector corpus: the
- * threaded and predecode paths must agree on the *full* trap record
- * (stats at the trap cycle included); the legacy path decodes eagerly,
- * so parity against it is status + fault-code level at traps
- * (docs/ROBUSTNESS.md), and full on clean runs.
+ * threaded tier's single-lane engine, its LaneBlock batch runner and
+ * the reference interpreter must agree on the *full* trap record (stats
+ * at the trap cycle included).  The one allowed divergence: the
+ * reference decodes eagerly, so it may trap on a word the threaded tier
+ * never fetches and rejects instead (docs/ROBUSTNESS.md).
  *
- * Also pinned here: the resumable `step_once` entry, run_lockstep, the
- * `UDP_SIM_BACKEND` toggle across every run entry point (the PR's
- * satellite fix), the content-keyed shared compiled-image cache, and
- * the LaneBlock batch path Machine::run_parallel takes serially.  This
- * file runs under the CI sanitizer jobs.
+ * Also pinned here: the resumable `step_once` entry, the
+ * `UDP_SIM_BACKEND` toggle and its parser across every run entry point,
+ * the content-keyed shared compiled-image cache, and the LaneBlock
+ * batch path Machine::run_parallel takes serially.  This file runs
+ * under the CI sanitizer jobs.
  */
 #include "assembler/builder.hpp"
 #include "baselines/dictionary.hpp"
@@ -66,12 +68,22 @@ run_backend(const runtime::JobPlan &plan, SimBackend backend,
     Machine m(AddressingMode::Restricted);
     runtime::JobResult res = runtime::run_job_on(m, 0, 0, plan,
                                                  max_cycles);
-    // The toggle must control which images the lane actually bound.
+    // The toggle must control which image the lane actually bound.
     EXPECT_EQ(m.lane(0).compiled() != nullptr,
               backend == SimBackend::Threaded);
-    EXPECT_EQ(m.lane(0).decoded() != nullptr,
-              backend != SimBackend::Legacy);
     return res;
+}
+
+/// Run `plan` alone through a serial Scheduler, whose Machine batches
+/// the wave's lanes through ThreadedEngine::run_block.
+runtime::JobResult
+run_block_path(const runtime::JobPlan &plan, std::uint64_t max_cycles)
+{
+    runtime::SchedulerOptions opts;
+    opts.threads = 1;
+    opts.max_cycles_per_lane = max_cycles;
+    runtime::Scheduler sched(opts);
+    return sched.run({plan}).jobs.at(0);
 }
 
 /// Full architectural equality: stats, registers, output, extracts,
@@ -186,14 +198,12 @@ kernel_plans()
     return plans;
 }
 
-TEST(ThreadedCode, EveryKernelBitIdenticalAcrossAllThreeBackends)
+TEST(ThreadedCode, EveryKernelBitIdenticalToLegacy)
 {
     for (const auto &[name, plan] : kernel_plans()) {
         SCOPED_TRACE(name);
         const auto threaded = run_backend(plan, SimBackend::Threaded);
-        const auto predecode = run_backend(plan, SimBackend::Predecode);
         const auto legacy = run_backend(plan, SimBackend::Legacy);
-        expect_identical(threaded, predecode);
         expect_identical(threaded, legacy);
         // Guard against degenerate plans that would vacuously pass.
         EXPECT_GT(threaded.stats.cycles, 0u) << name;
@@ -204,8 +214,8 @@ TEST(ThreadedCode, EveryKernelBitIdenticalAcrossAllThreeBackends)
 TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
 {
     // Attaching a tracer/profiler reroutes the lane off the threaded
-    // loop onto the instrumented predecode loop; the simulated counters
-    // and the trace/profile streams must not change for it.
+    // tier onto the reference interpreter; the simulated counters must
+    // not change for it.
     BackendGuard guard;
     set_sim_backend(SimBackend::Threaded);
     for (const auto &[name, plan] : kernel_plans()) {
@@ -228,12 +238,12 @@ TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
     }
 }
 
-TEST(ThreadedCode, StepOnceTracksRunStepsAndPredecode)
+TEST(ThreadedCode, StepOnceTracksRunStepsAndLegacy)
 {
     // step_once carries the compiled state across calls (resume_cs_);
     // stepping one dispatch at a time must track run_steps(1) exactly,
     // including interleaved use of both entries — and must track the
-    // predecode path's step_once bit for bit.
+    // reference interpreter's step_once bit for bit.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(10);
     const Bytes data(text.begin(), text.end());
@@ -248,7 +258,7 @@ TEST(ThreadedCode, StepOnceTracksRunStepsAndPredecode)
     Lane &b = mb.lane(0);
     ASSERT_NE(a.compiled(), nullptr);
 
-    set_sim_backend(SimBackend::Predecode);
+    set_sim_backend(SimBackend::Legacy);
     Machine mc(AddressingMode::Restricted);
     runtime::stage_job(mc, 0, 0, plan);
     Lane &c = mc.lane(0);
@@ -273,46 +283,11 @@ TEST(ThreadedCode, StepOnceTracksRunStepsAndPredecode)
     EXPECT_EQ(a.output(), c.output());
 }
 
-TEST(ThreadedCode, LockstepBitIdenticalAcrossAllThreeBackends)
-{
-    BackendGuard guard;
-    const std::string text = workloads::crimes_csv(20);
-    const Bytes data(text.begin(), text.end());
-    const auto plan = csv_kernel_spec().make_job(data);
-
-    const auto run_lockstep = [&](SimBackend backend) {
-        set_sim_backend(backend);
-        Machine m(AddressingMode::Restricted);
-        std::vector<JobSpec> jobs(4);
-        for (unsigned i = 0; i < 4; ++i) {
-            jobs[i].program = plan.program.get();
-            jobs[i].input = plan.input;
-            jobs[i].window_base =
-                static_cast<ByteAddr>(i) * plan.window_bytes;
-            jobs[i].init_regs = plan.init_regs;
-        }
-        m.assign(std::move(jobs));
-        return m.run_lockstep();
-    };
-
-    const MachineResult threaded = run_lockstep(SimBackend::Threaded);
-    const MachineResult predecode = run_lockstep(SimBackend::Predecode);
-    const MachineResult legacy = run_lockstep(SimBackend::Legacy);
-    EXPECT_EQ(threaded.wall_cycles, predecode.wall_cycles);
-    EXPECT_EQ(threaded.total, predecode.total);
-    EXPECT_EQ(threaded.status, predecode.status);
-    EXPECT_EQ(threaded.wall_cycles, legacy.wall_cycles);
-    EXPECT_EQ(threaded.total, legacy.total);
-    EXPECT_EQ(threaded.status, legacy.status);
-    EXPECT_GT(threaded.total.stall_cycles, 0u)
-        << "lockstep arbitration should see bank conflicts here";
-}
-
-TEST(ThreadedCode, SerialBlockPathMatchesPooledAndPredecode)
+TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
 {
     // threads == 1 routes whole waves through ThreadedEngine::run_block
     // (the LaneBlock batch path); a thread pool runs per-lane.  Both
-    // must agree with each other and with a predecode serial run.
+    // must agree with each other and with a reference serial run.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(600);
     const Bytes data(text.begin(), text.end());
@@ -330,7 +305,7 @@ TEST(ThreadedCode, SerialBlockPathMatchesPooledAndPredecode)
 
     const auto serial = run_with(SimBackend::Threaded, 1);
     const auto pooled = run_with(SimBackend::Threaded, 8);
-    const auto reference = run_with(SimBackend::Predecode, 1);
+    const auto reference = run_with(SimBackend::Legacy, 1);
     EXPECT_GT(serial.waves.size(), 0u);
     for (const auto *other : {&pooled, &reference}) {
         EXPECT_EQ(serial.total, other->total);
@@ -347,8 +322,9 @@ TEST(ThreadedCode, FaultCorpusBitIdenticalAcrossFastPaths)
 {
     // A deterministic malformed-image corpus: every mutated plan must
     // produce the identical full trap record (stats included) on the
-    // threaded and predecode paths, and the same terminal status +
-    // fault code on the legacy path.
+    // threaded tier's two run paths — the single-lane engine behind
+    // Lane::run and the LaneBlock batch behind a serial run_parallel —
+    // and on the legacy path wherever it does not trap early (below).
     const std::string text = workloads::crimes_csv(30);
     const Bytes data(text.begin(), text.end());
     const auto spec = csv_kernel_spec();
@@ -409,28 +385,24 @@ TEST(ThreadedCode, FaultCorpusBitIdenticalAcrossFastPaths)
         SCOPED_TRACE(name);
         const auto threaded =
             run_backend(plan, SimBackend::Threaded, kBudget);
-        const auto predecode =
-            run_backend(plan, SimBackend::Predecode, kBudget);
+        const auto block = run_block_path(plan, kBudget);
         const auto legacy =
             run_backend(plan, SimBackend::Legacy, kBudget);
-        expect_identical(threaded, predecode);
-        EXPECT_EQ(threaded.fault.detail, predecode.fault.detail);
-        // Legacy parity on malformed images is status + code level
-        // (docs/ROBUSTNESS.md): the legacy path decodes state metadata
-        // eagerly every step, so it can trap on a poisoned word the
-        // lenient decoded-image tiers never fetch (they reject at the
-        // miss walk instead).  That one divergence aside, the paths
-        // must agree.
-        if (threaded.status == LaneStatus::Faulted) {
-            EXPECT_EQ(legacy.status, LaneStatus::Faulted);
-            EXPECT_EQ(threaded.fault.code, legacy.fault.code);
-        } else if (legacy.status == LaneStatus::Faulted) {
+        expect_identical(threaded, block);
+        EXPECT_EQ(threaded.fault.detail, block.fault.detail);
+        // The legacy path decodes state metadata eagerly every step, so
+        // it can trap on a poisoned word the threaded tier never fetches
+        // (it rejects at the miss walk instead; docs/ROBUSTNESS.md).
+        // That one divergence aside, the full trap records agree.
+        if (legacy.status == LaneStatus::Faulted &&
+            threaded.status != LaneStatus::Faulted) {
             EXPECT_EQ(threaded.status, LaneStatus::Reject)
-                << "legacy may out-trap the lenient tiers only via its "
-                   "eager metadata decode, which the fast paths reject";
+                << "legacy may out-trap the threaded tier only via its "
+                   "eager metadata decode, which the fast path rejects";
             EXPECT_NE(legacy.fault.code, FaultCode::None);
         } else {
             expect_identical(threaded, legacy);
+            EXPECT_EQ(threaded.fault.detail, legacy.fault.detail);
         }
         saw_fault |= threaded.status == LaneStatus::Faulted;
     }
@@ -446,10 +418,8 @@ TEST(ThreadedCode, WatchdogCutsEveryBackendAtTheSameCycle)
         csv_kernel_spec().make_job(Bytes(text.begin(), text.end()));
 
     const auto threaded = run_backend(plan, SimBackend::Threaded, 2'000);
-    const auto predecode = run_backend(plan, SimBackend::Predecode, 2'000);
     const auto legacy = run_backend(plan, SimBackend::Legacy, 2'000);
     EXPECT_EQ(threaded.status, LaneStatus::TimedOut);
-    expect_identical(threaded, predecode);
     expect_identical(threaded, legacy);
 }
 
@@ -466,9 +436,9 @@ TEST(ThreadedCode, SharedCacheReturnsOneImagePerProgramContent)
     EXPECT_EQ(shared_compiled(copy).get(), a.get());
     EXPECT_EQ(a->fingerprint(), program_fingerprint(copy));
 
-    // The compiled image holds (and hands out) the one shared decoded
-    // image, so the NFA/instrumented reroutes never rebuild it.
-    EXPECT_EQ(a->decoded_shared().get(), shared_decoded(prog).get());
+    // The compiled image owns the IR NFA mode walks, so lanes running
+    // the same content share one IR too.
+    EXPECT_EQ(&shared_compiled(copy)->decoded(), &a->decoded());
 
     // Mutated content gets its own image.
     Program other = prog;
@@ -510,25 +480,12 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
     set_sim_backend(SimBackend::Legacy);
     lane.load(prog);
     EXPECT_EQ(lane.compiled(), nullptr);
-    EXPECT_EQ(lane.decoded(), nullptr);
-
-    set_sim_backend(SimBackend::Predecode);
-    lane.load(prog);
-    EXPECT_EQ(lane.compiled(), nullptr);
-    EXPECT_NE(lane.decoded(), nullptr);
+    EXPECT_EQ(sim_backend(), SimBackend::Legacy);
 
     set_sim_backend(SimBackend::Threaded);
     lane.load(prog);
     EXPECT_NE(lane.compiled(), nullptr);
-    EXPECT_NE(lane.decoded(), nullptr); // kept for NFA/instrumented
-
-    // The legacy aliases still steer the new enum.
-    set_predecode_enabled(false);
-    EXPECT_EQ(sim_backend(), SimBackend::Legacy);
-    EXPECT_FALSE(predecode_enabled());
-    set_predecode_enabled(true);
-    EXPECT_EQ(sim_backend(), SimBackend::Predecode);
-    EXPECT_TRUE(predecode_enabled());
+    EXPECT_EQ(sim_backend(), SimBackend::Threaded);
 
     // Each entry point, each backend: identical architectural outcome.
     struct Outcome {
@@ -565,7 +522,7 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
     const Outcome ref = run_entry(SimBackend::Threaded, 0);
     EXPECT_GT(ref.stats.cycles, 0u);
     for (const SimBackend backend :
-         {SimBackend::Legacy, SimBackend::Predecode, SimBackend::Threaded})
+         {SimBackend::Legacy, SimBackend::Threaded})
         for (int entry = 0; entry < 3; ++entry) {
             SCOPED_TRACE(std::string(sim_backend_name(backend)) +
                          " entry " + std::to_string(entry));
@@ -573,6 +530,27 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
             EXPECT_EQ(got.stats, ref.stats);
             EXPECT_EQ(got.output, ref.output);
         }
+}
+
+TEST(ThreadedCode, BackendParserAcceptsOnlyTheTwoTiers)
+{
+    // UDP_SIM_BACKEND goes through parse_sim_backend: the two tier
+    // names round-trip, and anything else — including the removed
+    // "predecode" tier — is an error naming the accepted values, never
+    // a silent fallback to another tier.
+    for (const SimBackend b : {SimBackend::Legacy, SimBackend::Threaded})
+        EXPECT_EQ(parse_sim_backend(sim_backend_name(b)), b);
+    for (const char *bad : {"predecode", "Threaded", "", "fast"}) {
+        SCOPED_TRACE(bad);
+        try {
+            parse_sim_backend(bad);
+            ADD_FAILURE() << "accepted an unknown backend name";
+        } catch (const UdpError &e) {
+            EXPECT_NE(std::string(e.what()).find("legacy|threaded"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ThreadedCode, DisassembleCompiledListsStatesArcsAndOps)
