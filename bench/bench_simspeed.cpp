@@ -27,7 +27,9 @@
  * model) — to show chunking cost is O(jobs), not O(bytes).
  *
  * Flags: --json <path> (BENCH_simspeed.json schema: the standard bench
- * envelope plus metrics.sim_host_mbps_threaded / _legacy,
+ * envelope, with one `workloads` entry per tier carrying the serial
+ * run's LaneStats and host seconds, plus metrics.sim_host_mbps_threaded
+ * / _legacy,
  * .threaded_speedup (threaded vs legacy), .compile_seconds /
  * .compile_amortize_kib, the
  * phase breakdown metrics.host_{setup,simulate,harvest}_seconds /
@@ -89,13 +91,8 @@ main(int argc, char **argv)
     const std::size_t chunk = 8 * 1024;
 
     struct PathResult {
-        double host_seconds = 0; ///< best-of-reps simulation time
+        runtime::ScheduleReport best; ///< the fastest of the reps
         double host_mbps = 0;
-        double setup_seconds = 0;   ///< best run: stage+assign phase
-        double simulate_seconds = 0; ///< best run: lane interpreter phase
-        double harvest_seconds = 0; ///< best run: unstage+bookkeeping
-        LaneStats total;
-        Cycles wall = 0;
     };
     const auto measure = [&](SimBackend backend) {
         set_sim_backend(backend);
@@ -108,18 +105,12 @@ main(int argc, char **argv)
                 spec, runtime::ArenaSlice::borrow(data), chunk,
                 runtime::align_after_delim('\n'));
             runtime::Scheduler sched(sched_options());
-            const auto rep = sched.run(jobs);
-            if (i == 0 || rep.host_seconds < r.host_seconds) {
-                r.host_seconds = rep.host_seconds;
-                r.setup_seconds = rep.host_setup_seconds;
-                r.simulate_seconds = rep.host_simulate_seconds;
-                r.harvest_seconds = rep.host_harvest_seconds;
-            }
-            r.total = rep.total;
-            r.wall = rep.wall_cycles;
+            auto rep = sched.run(jobs);
+            if (i == 0 || rep.host_seconds < r.best.host_seconds)
+                r.best = std::move(rep);
         }
-        r.host_mbps = r.host_seconds > 0
-                          ? double(data.size()) / r.host_seconds / 1e6
+        r.host_mbps = r.best.host_seconds > 0
+                          ? double(data.size()) / r.best.host_seconds / 1e6
                           : 0;
         return r;
     };
@@ -131,19 +122,34 @@ main(int argc, char **argv)
     const auto leg = measure(SimBackend::Legacy);
     set_sim_backend(SimBackend::Threaded); // restore default for finish()
 
-    if (thr.total != leg.total || thr.wall != leg.wall)
+    if (thr.best.total != leg.best.total ||
+        thr.best.wall_cycles != leg.best.wall_cycles)
         throw UdpError("bench_simspeed: simulated counters diverge "
                        "between interpreter tiers");
 
     const double thr_speedup =
         leg.host_mbps > 0 ? thr.host_mbps / leg.host_mbps : 0;
 
+    // One workload entry per tier: its simulated counters (identical
+    // across tiers) next to that tier's host seconds, so host time can
+    // be normalised per dispatch, action or memory access.
+    for (const auto &[name, r] : {std::pair{"csv_serial_threaded", &thr},
+                                  std::pair{"csv_serial_legacy", &leg}}) {
+        WorkloadPerf p;
+        p.name = name;
+        attach_sim(p, r->best.total, r->best.wall_cycles,
+                   r->best.waves.empty() ? 1 : r->best.waves[0].jobs);
+        attach_schedule(p, r->best, data.size());
+        rec.add_workload(p);
+    }
+
     print_header("Host simulation speed (serial, CSV x20000 rows)",
                  {"backend", "host MB/s", "host s/run", "sim cycles"});
-    print_row({"threaded", fmt(thr.host_mbps), fmt(thr.host_seconds, 4),
-               fmt(double(thr.wall), 0)});
-    print_row({"legacy", fmt(leg.host_mbps), fmt(leg.host_seconds, 4),
-               fmt(double(leg.wall), 0)});
+    print_row({"threaded", fmt(thr.host_mbps),
+               fmt(thr.best.host_seconds, 4),
+               fmt(double(thr.best.wall_cycles), 0)});
+    print_row({"legacy", fmt(leg.host_mbps), fmt(leg.best.host_seconds, 4),
+               fmt(double(leg.best.wall_cycles), 0)});
     std::printf("\nthreaded speedup: %.2fx over legacy (host time; "
                 "simulated counters bit-identical)\n",
                 thr_speedup);
@@ -165,8 +171,9 @@ main(int argc, char **argv)
     // Input bytes at which the faster loop has repaid the compile:
     // compile_s == bytes * (1/thr_rate - 1/leg_rate).
     const double rate_gain =
-        thr.host_seconds > 0 && leg.host_seconds > 0
-            ? (leg.host_seconds - thr.host_seconds) / double(data.size())
+        thr.best.host_seconds > 0 && leg.best.host_seconds > 0
+            ? (leg.best.host_seconds - thr.best.host_seconds) /
+                  double(data.size())
             : 0;
     const double amortize_kib =
         rate_gain > 0 ? compile_s / rate_gain / 1024.0 : 0;
@@ -182,10 +189,11 @@ main(int argc, char **argv)
     // Setup = pack + validate + stage + assign; simulate = the lane
     // interpreter; harvest = unstage + result bookkeeping.  With the
     // arena data path, setup must stay a small share of the wave loop.
-    const double phase_total =
-        thr.setup_seconds + thr.simulate_seconds + thr.harvest_seconds;
+    const double phase_total = thr.best.host_setup_seconds +
+                               thr.best.host_simulate_seconds +
+                               thr.best.host_harvest_seconds;
     const double setup_share =
-        phase_total > 0 ? thr.setup_seconds / phase_total : 0;
+        phase_total > 0 ? thr.best.host_setup_seconds / phase_total : 0;
     print_header("Host wave-loop phase breakdown (threaded backend)",
                  {"phase", "host ms", "share"});
     const auto phase_row = [&](const char *name, double s) {
@@ -193,9 +201,9 @@ main(int argc, char **argv)
                    fmt(phase_total > 0 ? 100 * s / phase_total : 0, 1) +
                        "%"});
     };
-    phase_row("setup (stage+assign)", thr.setup_seconds);
-    phase_row("simulate", thr.simulate_seconds);
-    phase_row("harvest", thr.harvest_seconds);
+    phase_row("setup (stage+assign)", thr.best.host_setup_seconds);
+    phase_row("simulate", thr.best.host_simulate_seconds);
+    phase_row("harvest", thr.best.host_harvest_seconds);
 
     // --- Setup study: arena slicing vs per-chunk deep copies -------------
     // Same chunked workload, built two ways.  The arena path pins one
@@ -261,15 +269,16 @@ main(int argc, char **argv)
     }
 
     rec.add_metric("input_bytes", double(data.size()));
-    rec.add_metric("sim_cycles", double(thr.wall));
+    rec.add_metric("sim_cycles", double(thr.best.wall_cycles));
     rec.add_metric("sim_host_mbps_threaded", thr.host_mbps);
     rec.add_metric("sim_host_mbps_legacy", leg.host_mbps);
     rec.add_metric("threaded_speedup", thr_speedup);
     rec.add_metric("compile_seconds", compile_s);
     rec.add_metric("compile_amortize_kib", amortize_kib);
-    rec.add_metric("host_setup_seconds", thr.setup_seconds);
-    rec.add_metric("host_simulate_seconds", thr.simulate_seconds);
-    rec.add_metric("host_harvest_seconds", thr.harvest_seconds);
+    rec.add_metric("host_setup_seconds", thr.best.host_setup_seconds);
+    rec.add_metric("host_simulate_seconds",
+                   thr.best.host_simulate_seconds);
+    rec.add_metric("host_harvest_seconds", thr.best.host_harvest_seconds);
     rec.add_metric("host_setup_share", setup_share);
     return rec.finish();
 }

@@ -13,8 +13,9 @@
  *    away, leaving one straight-line handler per opcode.
  *
  * The header also holds the lane helpers both tiers' loops share (the
- * symbol fetch, attach resolution and the fault boundary).  Only
- * lane.cpp and threaded_program.cpp include it.
+ * symbol fetch, attach resolution, local-memory access and the fault
+ * boundary), inline so the threaded tier pays no cross-TU call per
+ * access.  Only lane.cpp and threaded_program.cpp include it.
  */
 #pragma once
 
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <type_traits>
 
 namespace udp {
@@ -82,6 +84,88 @@ Lane::attach_addr(const Transition &t, std::size_t &addr) const
                (std::size_t{ref} << action_scale_);
     }
     return true;
+}
+
+// ---------------------------------------------------------------------------
+// Local-memory access.
+// ---------------------------------------------------------------------------
+
+inline ByteAddr
+Lane::mem_translate(Word lane_addr) const
+{
+    return mem_.translate(id_, lane_addr, window_base_);
+}
+
+inline void
+Lane::charge_mem(ByteAddr phys, bool is_write)
+{
+    if (is_write)
+        ++stats_.mem_writes;
+    else
+        ++stats_.mem_reads;
+    if (arbiter_ || tracer_)
+        charge_mem_hooks(phys, is_write);
+}
+
+inline std::uint8_t
+Lane::mem_read8(Word lane_addr)
+{
+    const ByteAddr phys = mem_translate(lane_addr);
+    charge_mem(phys, false);
+    return mem_.read8(phys);
+}
+
+inline void
+Lane::mem_write8(Word lane_addr, std::uint8_t v)
+{
+    const ByteAddr phys = mem_translate(lane_addr);
+    charge_mem(phys, true);
+    mem_.write8(phys, v);
+}
+
+inline Word
+Lane::mem_read32(Word lane_addr)
+{
+    const ByteAddr phys = mem_translate(lane_addr);
+    charge_mem(phys, false);
+    return mem_.read32(phys);
+}
+
+inline void
+Lane::mem_write32(Word lane_addr, Word v)
+{
+    const ByteAddr phys = mem_translate(lane_addr);
+    charge_mem(phys, true);
+    mem_.write32(phys, v);
+}
+
+inline std::uint8_t *
+Lane::mem_span(Word lane_addr, Word n)
+{
+    if (arbiter_ || tracer_)
+        return nullptr;
+    return mem_.span(id_, lane_addr, n, window_base_);
+}
+
+/// `n` bytes from `src` to `dst` in forward byte order, as the per-byte
+/// loop writes them: when `dst` starts inside the source run, each byte
+/// reads one the copy already wrote, so the first `dst - src` bytes
+/// repeat (the LZ77 overlap Snappy decode relies on).
+inline void
+copy_forward(std::uint8_t *dst, const std::uint8_t *src, std::size_t n)
+{
+    if (dst <= src || dst >= src + n) {
+        std::memmove(dst, src, n); // equals forward order without overlap
+        return;
+    }
+    const std::size_t dist = static_cast<std::size_t>(dst - src);
+    if (dist == 1) {
+        std::memset(dst, *src, n);
+        return;
+    }
+    // Chunks of `dist` bytes never overlap their own source.
+    for (std::size_t k = 0; k < n; k += dist)
+        std::memcpy(dst + k, src + k, std::min(dist, n - k));
 }
 
 template <typename Body>
@@ -236,8 +320,16 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
             throw UdpFaultError(FaultCode::BadAction,
                                 "Lane: emitlut entry count exceeds 15");
         ++acc.cycles; // table fetch pipeline stage
-        for (unsigned i = 0; i < count; ++i)
-            out_byte(mem_.read8(mem_translate(entry + 1 + i)));
+        // The entry's tail bytes ride the same wide fetch: no refs.
+        const std::uint8_t *tail =
+            out_bit_count_ == 0 ? mem_span(entry + 1, count) : nullptr;
+        if (tail) {
+            output_.insert(output_.end(), tail, tail + count);
+            stats_.output_bytes += count;
+        } else {
+            for (unsigned i = 0; i < count; ++i)
+                out_byte(mem_.read8(mem_translate(entry + 1 + i)));
+        }
         ++stats_.mem_reads; // one 8-byte-wide entry fetch
         if constexpr (kHooks) {
             if (tracer_)
@@ -252,8 +344,17 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
         const Word r = rr(), s = rs();
         const Word bound = regs_[a.dst];
         Word n = 0;
-        while (n < bound && mem_read8(r + n) == mem_read8(s + n))
-            ++n;
+        const std::uint8_t *pr = mem_span(r, bound);
+        const std::uint8_t *ps = pr ? mem_span(s, bound) : nullptr;
+        if (ps) {
+            n = static_cast<Word>(std::mismatch(pr, pr + bound, ps).first -
+                                  pr);
+            // Two reads per compared pair, the mismatching pair included.
+            stats_.mem_reads += 2 * std::uint64_t{n} + (n < bound ? 2 : 0);
+        } else {
+            while (n < bound && mem_read8(r + n) == mem_read8(s + n))
+                ++n;
+        }
         // The byte loop above charged per-byte refs; model the 8-byte
         // datapath by charging ceil cycles instead of per-byte ones.
         acc.cycles += ceil_div(std::max<Word>(n, 1), 8) - 1;
@@ -265,16 +366,32 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
         const Word n = regs_[a.dst];
         // Forward byte order: overlapping copies replicate the prefix
         // (LZ77 semantics required by Snappy decode).
-        for (Word i = 0; i < n; ++i)
-            mem_write8(r + i, mem_read8(s + i));
+        std::uint8_t *dst = mem_span(r, n);
+        const std::uint8_t *src = dst ? mem_span(s, n) : nullptr;
+        if (src) {
+            copy_forward(dst, src, n);
+            stats_.mem_reads += n;
+            stats_.mem_writes += n;
+        } else {
+            for (Word i = 0; i < n; ++i)
+                mem_write8(r + i, mem_read8(s + i));
+        }
         acc.cycles += n ? ceil_div(n, 8) - 1 : 0;
         break;
       }
       case Opcode::Loopcpyo: {
         const Word s = rs();
         const Word n = regs_[a.dst];
-        for (Word i = 0; i < n; ++i)
-            out_byte(mem_read8(s + i));
+        const std::uint8_t *src =
+            out_bit_count_ == 0 ? mem_span(s, n) : nullptr;
+        if (src) {
+            output_.insert(output_.end(), src, src + n);
+            stats_.output_bytes += n;
+            stats_.mem_reads += n;
+        } else {
+            for (Word i = 0; i < n; ++i)
+                out_byte(mem_read8(s + i));
+        }
         acc.cycles += n ? ceil_div(n, 8) - 1 : 0;
         break;
       }

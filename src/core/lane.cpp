@@ -146,22 +146,13 @@ Lane::trip_watchdog(std::string detail)
 }
 
 // ---------------------------------------------------------------------------
-// Memory access with window translation and bank arbitration.
+// Bank arbitration and tracing of memory references (the access paths
+// themselves are inline in core/action_unit.hpp).
 // ---------------------------------------------------------------------------
 
-ByteAddr
-Lane::mem_translate(Word lane_addr) const
-{
-    return mem_.translate(id_, lane_addr, window_base_);
-}
-
 void
-Lane::charge_mem(ByteAddr phys, bool is_write)
+Lane::charge_mem_hooks(ByteAddr phys, bool is_write)
 {
-    if (is_write)
-        ++stats_.mem_writes;
-    else
-        ++stats_.mem_reads;
     Cycles stall = 0;
     if (arbiter_) {
         stall = arbiter_(LocalMemory::bank_of(phys), is_write);
@@ -177,38 +168,6 @@ Lane::charge_mem(ByteAddr phys, bool is_write)
             tracer_->record(id_, TraceEventKind::Stall, stats_.cycles,
                             phys, static_cast<std::uint32_t>(stall));
     }
-}
-
-std::uint8_t
-Lane::mem_read8(Word lane_addr)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, false);
-    return mem_.read8(phys);
-}
-
-void
-Lane::mem_write8(Word lane_addr, std::uint8_t v)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, true);
-    mem_.write8(phys, v);
-}
-
-Word
-Lane::mem_read32(Word lane_addr)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, false);
-    return mem_.read32(phys);
-}
-
-void
-Lane::mem_write32(Word lane_addr, Word v)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, true);
-    mem_.write32(phys, v);
 }
 
 // ---------------------------------------------------------------------------

@@ -241,12 +241,22 @@ class Lane
     Word fetch_symbol_bits(unsigned width);
     Word dispatch_word(std::size_t word_addr);
 
+    // Local-memory access (inline, core/action_unit.hpp).  Single
+    // accesses translate and charge one reference each; mem_span hands
+    // the loop actions a whole in-window run as raw bytes.
     ByteAddr mem_translate(Word lane_addr) const;
     std::uint8_t mem_read8(Word lane_addr);
     void mem_write8(Word lane_addr, std::uint8_t v);
     Word mem_read32(Word lane_addr);
     void mem_write32(Word lane_addr, Word v);
     void charge_mem(ByteAddr phys, bool is_write);
+    /// Arbiter stall and tracer events of one reference (lane.cpp).
+    void charge_mem_hooks(ByteAddr phys, bool is_write);
+    /// The physical bytes of the n-byte run at `lane_addr`, or nullptr
+    /// when the run leaves the window or wraps, or an arbiter or tracer
+    /// is attached: those lanes take the per-byte path, which charges
+    /// and records every reference.
+    std::uint8_t *mem_span(Word lane_addr, Word n);
 
     void out_byte(std::uint8_t b);
     void out_bits(Word value, unsigned nbits);

@@ -38,70 +38,28 @@ LocalMemory::clear()
     std::fill(mem_.begin(), mem_.end(), 0);
 }
 
-ByteAddr
-LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base) const
+void
+LocalMemory::translate_fault() const
 {
     switch (mode_) {
       case AddressingMode::Local:
-        // Lane-private bank; address wraps inside the 16 KiB bank.
-        if (addr >= kBankBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
+        throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: local-mode address exceeds bank");
-        return static_cast<ByteAddr>(lane * kBankBytes + addr);
       case AddressingMode::Global:
-        if (addr >= kLocalMemBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
+        throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: global address out of range");
-        return addr;
-      case AddressingMode::Restricted: {
-        const std::uint64_t phys = std::uint64_t{base} + addr;
-        if (phys >= kLocalMemBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
+      case AddressingMode::Restricted:
+        throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: restricted address out of range");
-        return static_cast<ByteAddr>(phys);
-      }
     }
     throw UdpError("LocalMemory: bad addressing mode");
 }
 
 void
-LocalMemory::check(ByteAddr phys, std::size_t len) const
+LocalMemory::range_fault()
 {
-    if (std::uint64_t{phys} + len > mem_.size())
-        throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "LocalMemory: physical access out of range");
-}
-
-std::uint8_t
-LocalMemory::read8(ByteAddr phys) const
-{
-    check(phys, 1);
-    return mem_[phys];
-}
-
-void
-LocalMemory::write8(ByteAddr phys, std::uint8_t v)
-{
-    check(phys, 1);
-    mem_[phys] = v;
-}
-
-Word
-LocalMemory::read32(ByteAddr phys) const
-{
-    check(phys, 4);
-    return Word{mem_[phys]} | (Word{mem_[phys + 1]} << 8) |
-           (Word{mem_[phys + 2]} << 16) | (Word{mem_[phys + 3]} << 24);
-}
-
-void
-LocalMemory::write32(ByteAddr phys, Word v)
-{
-    check(phys, 4);
-    mem_[phys] = static_cast<std::uint8_t>(v);
-    mem_[phys + 1] = static_cast<std::uint8_t>(v >> 8);
-    mem_[phys + 2] = static_cast<std::uint8_t>(v >> 16);
-    mem_[phys + 3] = static_cast<std::uint8_t>(v >> 24);
+    throw UdpFaultError(FaultCode::FetchOutOfRange,
+                        "LocalMemory: physical access out of range");
 }
 
 void

@@ -22,6 +22,7 @@
 #include "types.hpp"
 
 #include <array>
+#include <utility>
 
 namespace udp {
 
@@ -57,26 +58,106 @@ class LocalMemory
     void clear();
 
     /**
-     * Translate a lane-relative byte address to a physical byte address.
+     * The physical bytes of the n-byte lane-relative run starting at
+     * `addr`, or nullptr.  Non-null exactly when every byte of the run
+     * translates in range and the run does not wrap the 32-bit lane
+     * address space; n == 0 yields nullptr.  Never throws.  This is the
+     * one statement of each addressing mode's bounds rule:
+     *  - Local: the lane's own 16 KiB bank, offsets [0, 16 KiB);
+     *  - Global: the whole 1 MiB;
+     *  - Restricted: `base + addr` must stay inside the 1 MiB.
+     */
+    const std::uint8_t *span(unsigned lane, ByteAddr addr, std::size_t n,
+                             ByteAddr base) const
+    {
+        if (n == 0)
+            return nullptr;
+        // 64-bit, so a run wrapping the 32-bit lane space fails below.
+        const std::uint64_t last = std::uint64_t{addr} + n - 1;
+        std::size_t phys = 0;
+        switch (mode_) {
+          case AddressingMode::Local:
+            if (last >= kBankBytes || lane >= kNumBanks)
+                return nullptr;
+            phys = std::size_t{lane} * kBankBytes + addr;
+            break;
+          case AddressingMode::Global:
+            if (last >= kLocalMemBytes)
+                return nullptr;
+            phys = addr;
+            break;
+          case AddressingMode::Restricted:
+            if (std::uint64_t{base} + last >= kLocalMemBytes)
+                return nullptr;
+            phys = std::size_t{base} + addr;
+            break;
+          default: return nullptr;
+        }
+        return mem_.data() + phys;
+    }
+    std::uint8_t *span(unsigned lane, ByteAddr addr, std::size_t n,
+                       ByteAddr base)
+    {
+        return const_cast<std::uint8_t *>(
+            std::as_const(*this).span(lane, addr, n, base));
+    }
+
+    /**
+     * Translate a lane-relative byte address to a physical byte address
+     * (a one-byte span()).  An address outside the mode's range raises
+     * FaultCode::FetchOutOfRange: Local mode faults past the lane's
+     * bank rather than wrapping inside it.
      *
      * @param lane       issuing lane id
      * @param addr       lane-relative byte address
      * @param base       lane's window base register (Restricted mode only)
      */
-    ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base) const;
+    ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base) const
+    {
+        if (const std::uint8_t *p = span(lane, addr, 1, base))
+            return static_cast<ByteAddr>(p - mem_.data());
+        translate_fault();
+    }
 
     /// Bank holding a physical byte address.
     static unsigned bank_of(ByteAddr phys) {
         return static_cast<unsigned>(phys / kBankBytes);
     }
 
-    std::uint8_t read8(ByteAddr phys) const;
-    void write8(ByteAddr phys, std::uint8_t v);
-    Word read32(ByteAddr phys) const;          ///< little-endian
-    void write32(ByteAddr phys, Word v);
+    std::uint8_t read8(ByteAddr phys) const
+    {
+        check(phys, 1);
+        return mem_[phys];
+    }
+    void write8(ByteAddr phys, std::uint8_t v)
+    {
+        check(phys, 1);
+        mem_[phys] = v;
+    }
+    Word read32(ByteAddr phys) const          ///< little-endian
+    {
+        check(phys, 4);
+        return Word{mem_[phys]} | (Word{mem_[phys + 1]} << 8) |
+               (Word{mem_[phys + 2]} << 16) | (Word{mem_[phys + 3]} << 24);
+    }
+    void write32(ByteAddr phys, Word v)
+    {
+        check(phys, 4);
+        mem_[phys] = static_cast<std::uint8_t>(v);
+        mem_[phys + 1] = static_cast<std::uint8_t>(v >> 8);
+        mem_[phys + 2] = static_cast<std::uint8_t>(v >> 16);
+        mem_[phys + 3] = static_cast<std::uint8_t>(v >> 24);
+    }
 
   private:
-    void check(ByteAddr phys, std::size_t len) const;
+    void check(ByteAddr phys, std::size_t len) const
+    {
+        if (std::uint64_t{phys} + len > mem_.size())
+            range_fault();
+    }
+    /// The out-of-range throws, kept out of line (cold paths).
+    [[noreturn]] void translate_fault() const;
+    [[noreturn]] static void range_fault();
 
     AddressingMode mode_;
     Bytes mem_;

@@ -142,7 +142,7 @@ struct SchedulerOptions {
     /// Default per-lane cycle budget; a plan's own `JobPlan::max_cycles`
     /// (when nonzero) overrides it per job.
     std::uint64_t max_cycles_per_lane = ~std::uint64_t{0};
-    RetryPolicy retry;
+    RetryPolicy retry{};
     /// Cancellation handle shared with submitting threads (see
     /// JobControl).  nullptr (the default) costs one branch per job and
     /// never changes results.
@@ -164,7 +164,7 @@ struct SchedulerOptions {
     FlightRecorder *recorder = nullptr;
     /// Post-mortem capture on faulted runs (postmortem.hpp).  Off by
     /// default (keep_last == 0, empty dir).
-    PostmortemPolicy postmortem;
+    PostmortemPolicy postmortem{};
     /// Lane micro-event tracer to attach to the scheduler's machine at
     /// construction (core/trace.hpp) — how benches route one shared
     /// Tracer into schedulers that own their machines.  The Scheduler

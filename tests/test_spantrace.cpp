@@ -258,8 +258,9 @@ TEST(SpanTrace, SpanServiceSumMatchesTelemetryHistogram)
             EXPECT_EQ(snap.sum, service_sum);
             EXPECT_EQ(snap.count, spans.attempts().size());
         }
-        if (name == "job.e2e_cycles")
+        if (name == "job.e2e_cycles") {
             EXPECT_EQ(snap.count, e2e_final);
+        }
     }
     EXPECT_EQ(e2e_final, jobs.size());
 }
@@ -354,8 +355,9 @@ TEST(SpanTrace, FlightRecorderObservesSchedulerLifecycle)
     std::uint64_t last_seq = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const FlightEvent &e = events[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(e.seq, last_seq); // strict global order
+        }
         last_seq = e.seq;
         switch (e.kind) {
         case FlightEventKind::LaneStart: ++starts; break;
