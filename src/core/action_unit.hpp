@@ -159,10 +159,6 @@ copy_forward(std::uint8_t *dst, const std::uint8_t *src, std::size_t n)
         return;
     }
     const std::size_t dist = static_cast<std::size_t>(dst - src);
-    if (dist == 1) {
-        std::memset(dst, *src, n);
-        return;
-    }
     // Chunks of `dist` bytes never overlap their own source.
     for (std::size_t k = 0; k < n; k += dist)
         std::memcpy(dst + k, src + k, std::min(dist, n - k));
@@ -320,16 +316,8 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
             throw UdpFaultError(FaultCode::BadAction,
                                 "Lane: emitlut entry count exceeds 15");
         ++acc.cycles; // table fetch pipeline stage
-        // The entry's tail bytes ride the same wide fetch: no refs.
-        const std::uint8_t *tail =
-            out_bit_count_ == 0 ? mem_span(entry + 1, count) : nullptr;
-        if (tail) {
-            output_.insert(output_.end(), tail, tail + count);
-            stats_.output_bytes += count;
-        } else {
-            for (unsigned i = 0; i < count; ++i)
-                out_byte(mem_.read8(mem_translate(entry + 1 + i)));
-        }
+        for (unsigned i = 0; i < count; ++i)
+            out_byte(mem_.read8(mem_translate(entry + 1 + i)));
         ++stats_.mem_reads; // one 8-byte-wide entry fetch
         if constexpr (kHooks) {
             if (tracer_)
@@ -344,17 +332,8 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
         const Word r = rr(), s = rs();
         const Word bound = regs_[a.dst];
         Word n = 0;
-        const std::uint8_t *pr = mem_span(r, bound);
-        const std::uint8_t *ps = pr ? mem_span(s, bound) : nullptr;
-        if (ps) {
-            n = static_cast<Word>(std::mismatch(pr, pr + bound, ps).first -
-                                  pr);
-            // Two reads per compared pair, the mismatching pair included.
-            stats_.mem_reads += 2 * std::uint64_t{n} + (n < bound ? 2 : 0);
-        } else {
-            while (n < bound && mem_read8(r + n) == mem_read8(s + n))
-                ++n;
-        }
+        while (n < bound && mem_read8(r + n) == mem_read8(s + n))
+            ++n;
         // The byte loop above charged per-byte refs; model the 8-byte
         // datapath by charging ceil cycles instead of per-byte ones.
         acc.cycles += ceil_div(std::max<Word>(n, 1), 8) - 1;
@@ -382,16 +361,8 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
       case Opcode::Loopcpyo: {
         const Word s = rs();
         const Word n = regs_[a.dst];
-        const std::uint8_t *src =
-            out_bit_count_ == 0 ? mem_span(s, n) : nullptr;
-        if (src) {
-            output_.insert(output_.end(), src, src + n);
-            stats_.output_bytes += n;
-            stats_.mem_reads += n;
-        } else {
-            for (Word i = 0; i < n; ++i)
-                out_byte(mem_read8(s + i));
-        }
+        for (Word i = 0; i < n; ++i)
+            out_byte(mem_read8(s + i));
         acc.cycles += n ? ceil_div(n, 8) - 1 : 0;
         break;
       }

@@ -243,7 +243,7 @@ class Lane
 
     // Local-memory access (inline, core/action_unit.hpp).  Single
     // accesses translate and charge one reference each; mem_span hands
-    // the loop actions a whole in-window run as raw bytes.
+    // Loopcpy a whole in-window run as raw bytes.
     ByteAddr mem_translate(Word lane_addr) const;
     std::uint8_t mem_read8(Word lane_addr);
     void mem_write8(Word lane_addr, std::uint8_t v);

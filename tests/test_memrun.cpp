@@ -3,13 +3,16 @@
  * Equivalence tests for the local-memory run path (`LocalMemory::span`,
  * `Lane::mem_span`).
  *
- * Loopcpy, Loopcpyo, Loopcmp and Emitlut's tail bytes run on raw bytes
- * whenever the whole run sits inside the lane's window; otherwise, and on
- * any lane with an arbiter or tracer attached, they take the per-byte
- * path.  The oracle here is that per-byte path: the same program on a
- * lane with a Tracer attached.  Bare lanes on both tiers must then match
- * it in LaneStats, registers, output, accepts, the fault record and every
- * local-memory byte, including runs that fault part way.
+ * Loopcpy runs on raw bytes whenever both of its runs sit inside the
+ * lane's window; otherwise, and on any lane with an arbiter or tracer
+ * attached, it takes the per-byte path.  Loopcpyo, Loopcmp and Emitlut's
+ * tail bytes always take the per-byte path; their cases here pin the
+ * behaviour at the window edge, at 32-bit wrap and with pending output
+ * bits for any later run path.  The oracle is the per-byte path: the
+ * same program on a lane with a Tracer attached.  Bare lanes on both
+ * tiers must then match it in LaneStats, registers, output, accepts, the
+ * fault record and every local-memory byte, including runs that fault
+ * part way.
  */
 #include "assembler/builder.hpp"
 #include "core/decoded_program.hpp"
