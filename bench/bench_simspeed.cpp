@@ -9,8 +9,7 @@
  * the interpreter loop dominates host time) through the wave scheduler
  * serially, once per backend, and reports host MB/s for each.
  * Simulated counters are asserted bit-identical between the tiers —
- * the same invariant tests/test_predecode.cpp and
- * tests/test_threaded.cpp pin per kernel.
+ * the same invariant tests/test_threaded.cpp pins per kernel.
  *
  * The threaded tier pays a one-time compile (DecodedProgram lowering to
  * the flat micro-op stream): `compile_seconds` measures a cold build,

@@ -127,7 +127,6 @@ LaneStatus
 Lane::trap(FaultCode code, std::string detail)
 {
     halted_ = true;
-    resume_cs_ = ThreadedEngine::kNoResume;
     halt_status_ = code == FaultCode::WatchdogTimeout
                        ? LaneStatus::TimedOut
                        : LaneStatus::Faulted;
@@ -448,44 +447,19 @@ Lane::run_steps(std::uint64_t n)
         throw UdpError("Lane: no program loaded");
     if (halted_)
         return halt_status_;
-    if (!started_) {
-        cur_state_ = prog_->entry;
-        started_ = true;
-    }
-    resume_cs_ = ThreadedEngine::kNoResume; // step_once owns the carry-over
-    return run_guarded([&] {
-        if (!threaded())
-            return run_steps_legacy(n);
-        std::int32_t carry = ThreadedEngine::kNoResume;
-        return ThreadedEngine::run_steps_body(*this, n, carry);
-    });
-}
-
-LaneStatus
-Lane::step_once()
-{
-    if (!prog_)
-        throw UdpError("Lane: no program loaded");
-    if (halted_)
-        return halt_status_;
     if (trap_cycle_ != 0 && stats_.cycles >= trap_cycle_)
         return trap(FaultCode::ForcedTrap,
                     "Lane: forced trap (fault injection)");
     if (!started_) {
         cur_state_ = prog_->entry;
         started_ = true;
-        resume_cs_ = ThreadedEngine::kNoResume;
     }
     return run_guarded([&] {
-        if (!threaded())
-            return run_steps_legacy(1);
-        const LaneStatus st =
-            ThreadedEngine::run_steps_body(*this, 1, resume_cs_);
-        // An unknown next state leaves a negative carry and faults on
-        // the *next* step, exactly when the reference would notice it.
-        if (st != LaneStatus::Running)
-            resume_cs_ = ThreadedEngine::kNoResume;
-        return st;
+        if (threaded())
+            return ThreadedEngine::run_steps_body(*this, n);
+        // The reference moves cur_state_ without the compiled carry.
+        resume_cs_ = ThreadedEngine::kNoResume;
+        return run_steps_legacy(n);
     });
 }
 

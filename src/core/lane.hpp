@@ -14,7 +14,7 @@
  *
  * The lane supports two execution modes:
  *   - `run()`: single active state (DFA-style programs; all the ETL
- *     kernels);
+ *     kernels), in resumable chunks of `run_steps()`;
  *   - `run_nfa()`: a set of active states advanced per input symbol with
  *     epsilon activation (UAP-style NFA execution); cycle cost scales with
  *     the number of dispatches, as on the real hardware.
@@ -120,13 +120,10 @@ class Lane
     LaneStatus run(std::uint64_t max_cycles = ~std::uint64_t{0});
 
     /// Execute up to `n` dispatch steps, preserving position between
-    /// calls (lockstep machine mode). Returns Running while work remains.
+    /// calls (run_steps(1) is the lockstep machine's round).  An armed
+    /// forced trap that is due fires before the first step.  Returns
+    /// Running while work remains.
     LaneStatus run_steps(std::uint64_t n);
-
-    /// Resumable single dispatch step: exactly `run_steps(1)`, but the
-    /// compiled index of the next state is carried across calls so
-    /// lockstep rounds skip the per-call state lookup.
-    LaneStatus step_once();
 
     /// Execute in NFA mode (multi-state activation via epsilon).
     LaneStatus run_nfa(std::uint64_t max_cycles = ~std::uint64_t{0});
@@ -138,8 +135,9 @@ class Lane
      * The structured record of the last trap (docs/ROBUSTNESS.md).
      * `fault().code == FaultCode::None` for a healthy lane.  Populated
      * whenever a run entry returns Faulted or TimedOut; cleared by
-     * reset().  Interpreter errors never escape run()/run_steps()/
-     * step_once()/run_nfa() as exceptions — they land here.
+     * reset().  Interpreter errors never escape the run entries —
+     * run(), run_steps() and run_nfa() — as exceptions; they land
+     * here.
      */
     const LaneFault &fault() const { return fault_; }
 
@@ -266,8 +264,10 @@ class Lane
     LocalMemory &mem_;
     const Program *prog_ = nullptr;
     std::shared_ptr<const CompiledProgram> compiled_; ///< threaded backend
-    std::int32_t resume_cs_ = -2; ///< step_once carry-over
-                                  ///< (ThreadedEngine::kNoResume)
+    /// Compiled index of cur_state_ carried between run_steps calls
+    /// (ThreadedEngine::kNoResume = resolve; reset() and every step on
+    /// the reference interpreter clear it).
+    std::int32_t resume_cs_ = -2;
     StreamBuffer sb_;
 
     std::array<Word, kNumScalarRegs> regs_{};

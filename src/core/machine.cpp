@@ -5,11 +5,11 @@
 #include "machine.hpp"
 
 #include "profile.hpp"
-#include "threaded_program.hpp"
 #include "trace.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <thread>
@@ -72,23 +72,35 @@ Machine::unstage(ByteAddr phys, std::size_t len, Bytes &out) const
     out.assign(mem_.raw().begin() + phys, mem_.raw().begin() + phys + len);
 }
 
+namespace {
+
+/// UDP_SIM_THREADS: a decimal thread count in 1..256, nothing else.
+unsigned
+parse_sim_threads(std::string_view text)
+{
+    unsigned n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc{} || ptr != end || n < 1 || n > 256)
+        throw UdpError("UDP_SIM_THREADS: '" + std::string(text) +
+                       "' is not a thread count (expected 1..256)");
+    return n;
+}
+
+} // namespace
+
 unsigned
 Machine::resolved_sim_threads() const
 {
+    unsigned n = sim_threads_;
+    if (n == 0) {
+        const char *env = std::getenv("UDP_SIM_THREADS");
+        n = env ? parse_sim_threads(env) : 1;
+    }
     // The Profiler aggregates into maps shared by all lanes, so a
     // profiled run is pinned to the serial backend (docs/RUNTIME.md);
     // the Tracer's per-lane rings need no such fallback.
-    if (profiler_)
-        return 1;
-    unsigned n = sim_threads_;
-    if (n == 0) {
-        if (const char *env = std::getenv("UDP_SIM_THREADS")) {
-            const long v = std::strtol(env, nullptr, 10);
-            if (v > 0)
-                n = static_cast<unsigned>(std::min<long>(v, 256));
-        }
-    }
-    return n ? n : 1;
+    return profiler_ ? 1 : n;
 }
 
 void
@@ -161,64 +173,39 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
             run_observer_->on_lane_end(id, status[i], ln.stats().cycles);
     };
 
-    unsigned threads = resolved_sim_threads();
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(std::max<std::size_t>(
-                     runnable.size(), 1)));
-    if (threads <= 1) {
-        // Batch the block-eligible lanes (threaded image bound, DFA
-        // mode, no per-lane instrumentation or observer hooks) through
-        // the struct-of-arrays runner; everything else runs per-lane.
-        LaneBlock blk;
-        std::vector<std::size_t> rest;
-        for (const std::size_t i : runnable) {
-            Lane &ln = *lanes_[i];
-            if (!run_observer_ && !jobs_[i].nfa_mode && ln.compiled() &&
-                !ln.tracer() && !ln.profiler()) {
-                blk.add(&ln, static_cast<std::uint32_t>(i),
-                        std::min(max_cycles_per_lane,
-                                 jobs_[i].max_cycles),
-                        ln.forced_trap_cycle());
-            } else {
-                rest.push_back(i);
+    // Lanes are trace-independent and their windows disjoint, so any
+    // work distribution yields bit-identical per-lane results.  The
+    // calling thread is worker 0 and a serial run spawns no thread.
+    // Interpreter faults never unwind out of Lane::run — they land in
+    // the per-lane fault record — so an exception here is a host-side
+    // bug; it is rethrown lowest-lane-first once every lane has run.
+    const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+        resolved_sim_threads(), std::max<std::size_t>(runnable.size(), 1)));
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(runnable.size());
+    const auto work = [&] {
+        for (;;) {
+            const std::size_t k =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (k >= runnable.size())
+                return;
+            try {
+                run_lane(runnable[k]);
+            } catch (...) {
+                errors[k] = std::current_exception();
             }
         }
-        if (blk.size() != 0)
-            ThreadedEngine::run_block(blk);
-        for (std::size_t k = 0; k < blk.size(); ++k)
-            status[blk.slot[k]] = blk.status[k];
-        for (const std::size_t i : rest)
-            run_lane(i);
-    } else {
-        // Lanes are trace-independent and their windows disjoint, so
-        // any work distribution yields bit-identical per-lane results.
-        // Interpreter faults never unwind out of Lane::run — they land
-        // in the per-lane fault record — so an exception here is a
-        // host-side bug; it is rethrown lowest-lane-first.
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(runnable.size());
-        {
-            std::vector<std::jthread> pool;
-            pool.reserve(threads);
-            for (unsigned t = 0; t < threads; ++t)
-                pool.emplace_back([&] {
-                    for (;;) {
-                        const std::size_t k =
-                            next.fetch_add(1, std::memory_order_relaxed);
-                        if (k >= runnable.size())
-                            return;
-                        try {
-                            run_lane(runnable[k]);
-                        } catch (...) {
-                            errors[k] = std::current_exception();
-                        }
-                    }
-                });
-        }
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
+    };
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(threads - 1);
+        for (unsigned t = 1; t < threads; ++t)
+            helpers.emplace_back(work);
+        work();
     }
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 
     Cycles wall = 0;
     for (const std::size_t i : runnable)
@@ -254,9 +241,7 @@ Machine::run_lockstep(std::uint64_t max_rounds)
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
             if (done[i])
                 continue;
-            // step_once carries the next state's compiled index between
-            // rounds, so lockstep skips the per-round lookup.
-            const LaneStatus st = lanes_[i]->step_once();
+            const LaneStatus st = lanes_[i]->run_steps(1);
             if (st != LaneStatus::Running) {
                 done[i] = true;
                 status[i] = st;

@@ -75,14 +75,15 @@ struct MachineResult {
 /**
  * Observer for lane-run lifecycle in `run_parallel`.
  *
- * Callbacks fire on the thread that simulates the lane — a pool worker
- * under the threaded backend — immediately before the lane starts and
- * after it returns.  Implementations must therefore be safe to call
- * concurrently from multiple threads (the runtime FlightRecorder keeps
- * one ring per worker thread for exactly this reason).  `run_lockstep`
- * interleaves all lanes on the host thread and does not emit these
- * events.  With no observer attached (the default) the hook is a single
- * predicted-not-taken branch per lane run.
+ * Callbacks fire once per runnable lane, on the thread that simulates
+ * it — the calling thread or one of run_parallel's helper threads —
+ * immediately before the lane starts and after it returns.
+ * Implementations must therefore be safe to call concurrently from
+ * multiple threads (the runtime FlightRecorder keeps one ring per worker
+ * thread for exactly this reason).  `run_lockstep` interleaves all lanes
+ * on the host thread and does not emit these events.  With no observer
+ * attached (the default) the hook is a single predicted-not-taken branch
+ * per lane run.
  */
 class RunObserver
 {
@@ -128,11 +129,13 @@ class Machine
     /**
      * Run all assigned lanes to completion, independently.
      *
-     * Executes on the configured simulation backend: serial, or a host
-     * thread pool (`set_sim_threads`).  Parallel-mode lanes touch
-     * disjoint memory windows, so the threaded backend is *exact*:
-     * LaneStats, wall cycles and energy are bit-identical to the serial
-     * backend for any thread count.  A run with an attached Profiler
+     * One work loop hands lanes, lowest first, to `resolved_sim_threads()`
+     * workers: the calling thread plus one helper thread per extra
+     * worker, so a serial run creates no thread.  Each lane runs through
+     * Lane::run (or Lane::run_nfa) whatever the thread count.
+     * Parallel-mode lanes touch disjoint memory windows, so any thread
+     * count is *exact*: LaneStats, wall cycles and energy are
+     * bit-identical to a serial run.  A run with an attached Profiler
      * falls back to serial (its aggregation is shared across lanes);
      * the Tracer's per-lane rings are safe under threads: every lane
      * records only into its own ring (each `tracer_->record(id_, ...)`
@@ -146,14 +149,17 @@ class Machine
     /**
      * Host threads for run_parallel lane simulation.  0 (the default)
      * resolves from the UDP_SIM_THREADS environment variable, else 1
-     * (serial).  Purely a host-performance knob — simulated results do
-     * not depend on it.
+     * (serial).  UDP_SIM_THREADS must be a decimal integer in 1..256;
+     * resolved_sim_threads() throws UdpError for any other value.
+     * Purely a host-performance knob — simulated results do not depend
+     * on it.
      */
     void set_sim_threads(unsigned n) { sim_threads_ = n; }
     unsigned sim_threads() const { return sim_threads_; }
 
-    /// The thread count run_parallel will actually use (>= 1; always 1
-    /// while a Profiler is attached).
+    /// The thread count run_parallel will use, before capping it at the
+    /// runnable lanes (>= 1; always 1 while a Profiler is attached).
+    /// Throws UdpError on a malformed UDP_SIM_THREADS.
     unsigned resolved_sim_threads() const;
 
     /// Run with per-round shared bank arbitration.

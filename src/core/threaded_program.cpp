@@ -1,8 +1,8 @@
 /**
  * @file
  * Threaded-code tier: the generated handler table, the CompiledProgram
- * lowering pass, the single-lane resumable engine, the NFA-mode engine
- * and the LaneBlock batch runner.
+ * lowering pass, the single-lane resumable engine and the NFA-mode
+ * engine.
  *
  * Equivalence discipline: opcode semantics come from Lane::exec_op, the
  * same definition the reference interpreter runs; every dispatch charge,
@@ -323,8 +323,7 @@ ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
 }
 
 LaneStatus
-ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
-                               std::int32_t &carry)
+ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
 {
     const CompiledProgram &cp = *ln.compiled_;
     const Program &prog = *ln.prog_;
@@ -340,7 +339,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
         !cp.dyn_dispatch() &&
         ln.dispatch_base_ == cp.init_dispatch_base();
 
-    std::int32_t ix = carry;
+    std::int32_t ix = ln.resume_cs_;
     if (ix == kNoResume)
         ix = cp.state_index(ln.cur_state_);
 
@@ -450,58 +449,10 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
         throw;
     }
     flush(ln, c);
-    carry = ix;
+    // An unknown next state carries as -1 and faults on the *next*
+    // step, exactly when the reference would notice it.
+    ln.resume_cs_ = ix;
     return out;
-}
-
-void
-ThreadedEngine::run_block(LaneBlock &blk)
-{
-    // Replicates Lane::run's chunk/trap/watchdog boundaries per lane,
-    // but interleaves the chunks across the whole block so one host
-    // thread keeps every resident lane's hot state in play.
-    std::size_t live = 0;
-    for (std::size_t k = 0; k < blk.size(); ++k)
-        live += blk.live[k];
-    while (live != 0) {
-        for (std::size_t k = 0; k < blk.size(); ++k) {
-            if (!blk.live[k])
-                continue;
-            Lane &ln = *blk.lanes[k];
-            LaneStatus st;
-            if (ln.halted_) {
-                st = ln.halt_status_;
-            } else {
-                if (!ln.started_) {
-                    ln.cur_state_ = ln.prog_->entry;
-                    ln.started_ = true;
-                }
-                ln.resume_cs_ = kNoResume;
-                const std::uint64_t chunk =
-                    blk.trap_at[k] != 0 ? 1 : 1024;
-                st = ln.run_guarded([&] {
-                    return run_steps_body(ln, chunk, blk.state_ix[k]);
-                });
-            }
-            if (st == LaneStatus::Running) {
-                if (blk.trap_at[k] != 0 &&
-                    ln.stats_.cycles >= blk.trap_at[k]) {
-                    st = ln.trap(FaultCode::ForcedTrap,
-                                 "Lane: forced trap (fault injection)");
-                } else if (ln.stats_.cycles >= blk.budget[k]) {
-                    st = ln.trip_watchdog(
-                        "Lane: cycle budget (" +
-                        std::to_string(blk.budget[k]) +
-                        ") exhausted before completion");
-                }
-            }
-            if (st != LaneStatus::Running) {
-                blk.live[k] = 0;
-                blk.status[k] = st;
-                --live;
-            }
-        }
-    }
 }
 
 LaneStatus
@@ -632,19 +583,6 @@ ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
     return ln.trip_watchdog("Lane: NFA cycle budget (" +
                             std::to_string(max_cycles) +
                             ") exhausted before completion");
-}
-
-void
-LaneBlock::add(Lane *ln, std::uint32_t lane_slot, std::uint64_t cycles,
-               Cycles trap_cycle)
-{
-    lanes.push_back(ln);
-    slot.push_back(lane_slot);
-    state_ix.push_back(ThreadedEngine::kNoResume);
-    budget.push_back(cycles);
-    trap_at.push_back(trap_cycle);
-    live.push_back(1);
-    status.push_back(LaneStatus::Done);
 }
 
 // ---------------------------------------------------------------------------

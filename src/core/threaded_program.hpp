@@ -23,11 +23,13 @@
  * One compiled image is shared read-only by all 64 lanes and across
  * waves via `shared_compiled()`, a content-fingerprint cache.
  *
- * `ThreadedEngine` interprets the compiled image for a single lane
- * (resumable, `step_once`-compatible), for a whole `LaneBlock` — the
- * struct-of-arrays batch of resident lanes that `Machine::run_parallel`
- * steps in lockstep chunks on one host thread — and in NFA mode, over
+ * `ThreadedEngine` interprets the compiled image for one lane at a
+ * time: resumably in DFA mode (the lane carries the compiled index of
+ * its next state between `Lane::run_steps` calls) and in NFA mode, over
  * the per-state epsilon and fallback chains of the DecodedProgram IR.
+ * Every run entry — `Lane::run`, `run_steps`, `run_nfa`, and through
+ * them `Machine::run_parallel` and `run_lockstep` — reaches it the same
+ * way.
  *
  * This tier is purely host-performance: simulated counters, outputs,
  * accepts, faults and trap cycles are bit-identical to the reference
@@ -195,53 +197,28 @@ std::shared_ptr<const CompiledProgram> shared_compiled(const Program &prog);
 std::string disassemble_compiled(const CompiledProgram &cp);
 
 /**
- * Struct-of-arrays hot state for a batch of resident lanes: one host
- * thread steps every live lane in lockstep chunks (run_block), keeping
- * the shared compiled image and the block bookkeeping hot instead of
- * re-deriving per-lane run state each chunk.
- */
-struct LaneBlock {
-    std::vector<Lane *> lanes;
-    std::vector<std::uint32_t> slot;     ///< machine lane index
-    std::vector<std::int32_t> state_ix;  ///< compiled resume state
-    std::vector<std::uint64_t> budget;   ///< per-lane cycle budget
-    std::vector<Cycles> trap_at;         ///< forced-trap cycle (0 = off)
-    std::vector<std::uint8_t> live;
-    std::vector<LaneStatus> status;
-
-    void add(Lane *ln, std::uint32_t lane_slot, std::uint64_t cycles,
-             Cycles trap_cycle);
-    std::size_t size() const { return lanes.size(); }
-};
-
-/**
  * The threaded-code interpreter.  A friend of Lane/StreamBuffer: it
  * *is* the lane's inner loop for the Threaded backend, entered from
- * Lane::run_steps / Lane::step_once (single lane, resumable),
- * Lane::run_nfa, or Machine::run_parallel (LaneBlock batches).
+ * Lane::run_steps (DFA mode, resumable) and Lane::run_nfa.
  */
 class ThreadedEngine
 {
   public:
-    /// `carry` sentinel: resolve the compiled state from Lane::cur_state_.
+    /// Lane::resume_cs_ sentinel: resolve the compiled state from
+    /// Lane::cur_state_.
     static constexpr std::int32_t kNoResume = -2;
 
-    /// Up to `n` dispatch steps over the compiled image.  `carry` holds
-    /// the compiled state index across calls (kNoResume = re-resolve);
-    /// local counters are flushed to the lane's stats before returning
-    /// or rethrowing.  Call inside Lane::run_guarded.
-    static LaneStatus run_steps_body(Lane &ln, std::uint64_t n,
-                                     std::int32_t &carry);
+    /// Up to `n` dispatch steps over the compiled image, resuming at
+    /// the lane's carried compiled state index (kNoResume = resolve)
+    /// and leaving the next one there; local counters are flushed to
+    /// the lane's stats before returning or rethrowing.  Call inside
+    /// Lane::run_guarded.
+    static LaneStatus run_steps_body(Lane &ln, std::uint64_t n);
 
     /// NFA mode to completion (or the `max_cycles` watchdog), charging
     /// exactly what the reference run_nfa does.  Call inside
     /// Lane::run_guarded.
     static LaneStatus run_nfa(Lane &ln, std::uint64_t max_cycles);
-
-    /// Step every live lane of the block to completion in lockstep
-    /// chunks, replicating Lane::run's chunk/trap/watchdog boundaries
-    /// bit for bit.  Fills LaneBlock::status.
-    static void run_block(LaneBlock &blk);
 
     /// Handler lookup for the compiler (CompiledProgram's ctor).
     static OpFn op_fn(Opcode op);

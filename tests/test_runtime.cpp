@@ -20,6 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 using namespace udp;
 using namespace udp::runtime;
 
@@ -227,6 +231,51 @@ TEST(Runtime, ProfilerForcesSerialBackendAndStaysNeutral)
     EXPECT_EQ(rep.sim_threads, 1u);
     EXPECT_EQ(ref.wall_cycles, rep.wall_cycles);
     expect_stats_eq(ref.total, rep.total);
+}
+
+TEST(Runtime, SimThreadsEnvAcceptsOnlyOneTo256)
+{
+    // UDP_SIM_THREADS is a decimal thread count in 1..256.  Anything
+    // else is an error naming that range — never a silent serial run,
+    // a clamp or a truncated number.
+    struct EnvRestore {
+        std::optional<std::string> saved;
+        EnvRestore() {
+            if (const char *v = std::getenv("UDP_SIM_THREADS"))
+                saved = v;
+        }
+        ~EnvRestore() {
+            if (saved)
+                setenv("UDP_SIM_THREADS", saved->c_str(), 1);
+            else
+                unsetenv("UDP_SIM_THREADS");
+        }
+    } restore;
+
+    Machine m(AddressingMode::Restricted);
+    unsetenv("UDP_SIM_THREADS");
+    EXPECT_EQ(m.resolved_sim_threads(), 1u);
+    for (const auto &[text, n] :
+         {std::pair{"1", 1u}, {"8", 8u}, {"256", 256u}}) {
+        setenv("UDP_SIM_THREADS", text, 1);
+        EXPECT_EQ(m.resolved_sim_threads(), n) << text;
+    }
+    for (const char *bad : {"8x", "abc", "0", "-2", "1000", "257", "",
+                            " 8", "+8"}) {
+        SCOPED_TRACE(bad);
+        setenv("UDP_SIM_THREADS", bad, 1);
+        try {
+            m.resolved_sim_threads();
+            ADD_FAILURE() << "accepted a malformed thread count";
+        } catch (const UdpError &e) {
+            EXPECT_NE(std::string(e.what()).find("1..256"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // An explicit count takes precedence over the environment.
+    m.set_sim_threads(4);
+    EXPECT_EQ(m.resolved_sim_threads(), 4u);
 }
 
 TEST(Runtime, AssignResetsStaleLaneState)

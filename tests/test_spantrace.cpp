@@ -338,45 +338,74 @@ TEST(SpanTrace, ResultsBitIdenticalWithAllSinksAttached)
 
 TEST(SpanTrace, FlightRecorderObservesSchedulerLifecycle)
 {
+    // Serial and pooled runs take the same lane loop: the observer sees
+    // every runnable lane of every wave exactly once, start and end, and
+    // watching changes no result.
     const auto jobs = trace_fleet(100);
-    FlightRecorder rec(/*ring_capacity=*/4096);
-    SchedulerOptions opts;
-    opts.threads = 4;
-    opts.recorder = &rec;
-    Scheduler sched(opts);
-    const ScheduleReport rep = sched.run(jobs);
+    for (const unsigned threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        FlightRecorder rec(/*ring_capacity=*/4096);
+        SchedulerOptions opts;
+        opts.threads = threads;
+        Scheduler plain(opts);
+        const ScheduleReport ref = plain.run(jobs);
+        opts.recorder = &rec;
+        Scheduler sched(opts);
+        const ScheduleReport rep = sched.run(jobs);
 
-    const auto events = rec.snapshot();
-    ASSERT_FALSE(events.empty());
-    EXPECT_EQ(rec.total(), events.size() + rec.dropped());
-    EXPECT_EQ(rec.dropped(), 0u); // ring big enough for this fleet
+        ASSERT_EQ(ref.jobs.size(), rep.jobs.size());
+        EXPECT_EQ(ref.wall_cycles, rep.wall_cycles);
+        for (std::size_t i = 0; i < ref.jobs.size(); ++i)
+            expect_results_eq(ref.jobs[i], rep.jobs[i]);
 
-    std::uint64_t starts = 0, ends = 0, runs = 0, waves = 0;
-    std::uint64_t last_seq = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const FlightEvent &e = events[i];
-        if (i > 0) {
-            EXPECT_GT(e.seq, last_seq); // strict global order
+        const auto events = rec.snapshot();
+        ASSERT_FALSE(events.empty());
+        EXPECT_EQ(rec.total(), events.size() + rec.dropped());
+        EXPECT_EQ(rec.dropped(), 0u); // ring big enough for this fleet
+
+        std::uint64_t starts = 0, ends = 0, runs = 0, waves = 0;
+        std::uint64_t last_seq = 0;
+        std::set<unsigned> started, ended; // lanes of the current wave
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const FlightEvent &e = events[i];
+            if (i > 0) {
+                EXPECT_GT(e.seq, last_seq); // strict global order
+            }
+            last_seq = e.seq;
+            switch (e.kind) {
+            case FlightEventKind::LaneStart:
+                ++starts;
+                EXPECT_TRUE(started.insert(e.lane).second)
+                    << "lane " << unsigned{e.lane} << " started twice";
+                break;
+            case FlightEventKind::LaneEnd:
+                ++ends;
+                EXPECT_GT(e.b, 0u); // lane cycles
+                EXPECT_TRUE(started.count(e.lane) != 0);
+                EXPECT_TRUE(ended.insert(e.lane).second)
+                    << "lane " << unsigned{e.lane} << " ended twice";
+                break;
+            case FlightEventKind::JobRun: ++runs; break;
+            case FlightEventKind::WaveClose:
+                ASSERT_LT(waves, rep.waves.size());
+                EXPECT_EQ(started.size(), rep.waves[waves].jobs);
+                EXPECT_EQ(ended, started);
+                started.clear();
+                ended.clear();
+                ++waves;
+                break;
+            case FlightEventKind::Quarantine: break;
+            }
         }
-        last_seq = e.seq;
-        switch (e.kind) {
-        case FlightEventKind::LaneStart: ++starts; break;
-        case FlightEventKind::LaneEnd:
-            ++ends;
-            EXPECT_GT(e.b, 0u); // lane cycles
-            break;
-        case FlightEventKind::JobRun: ++runs; break;
-        case FlightEventKind::WaveClose: ++waves; break;
-        case FlightEventKind::Quarantine: break;
-        }
+        // Worker-thread lane hooks fire once per run; harvest events
+        // once per run; one close per wave.
+        EXPECT_EQ(starts, jobs.size() + rep.retries);
+        EXPECT_EQ(ends, starts);
+        EXPECT_EQ(runs, starts);
+        EXPECT_EQ(waves, rep.waves.size());
+        EXPECT_GT(waves, 1u);
+        EXPECT_FALSE(flight_event_kind_name(events[0].kind).empty());
     }
-    // Worker-thread lane hooks fire once per run; harvest events once
-    // per run; one close per wave.
-    EXPECT_EQ(starts, jobs.size() + rep.retries);
-    EXPECT_EQ(ends, starts);
-    EXPECT_EQ(runs, starts);
-    EXPECT_EQ(waves, rep.waves.size());
-    EXPECT_FALSE(flight_event_kind_name(events[0].kind).empty());
 }
 
 TEST(SpanTrace, FlightRecorderRingKeepsMostRecent)

@@ -1,25 +1,29 @@
 /**
  * @file
- * Threaded-code tier equivalence properties (docs/PERFORMANCE.md).
+ * Threaded-code tier vs the decode-per-step reference interpreter
+ * (docs/PERFORMANCE.md).
  *
  * The threaded-code tier over a shared `CompiledProgram` must be
  * observationally identical to the reference interpreter for every
  * kernel in src/kernels, in DFA and NFA mode: bit-identical
- * `LaneStats`, registers, outputs, accepts, and memory extracts.  Only
- * host time may differ.
+ * `LaneStats`, registers, outputs, accepts, and memory extracts.  A
+ * traced or profiled lane runs on the reference interpreter whichever
+ * backend is selected, so its trace event stream and profiler
+ * aggregates do not depend on the backend either.  Only host time may
+ * differ.
  *
- * Fault behaviour is pinned against the FaultInjector corpus: the
- * threaded tier's single-lane engine, its LaneBlock batch runner and
- * the reference interpreter must agree on the *full* trap record (stats
- * at the trap cycle included).  The one allowed divergence: the
- * reference decodes eagerly, so it may trap on a word the threaded tier
- * never fetches and rejects instead (docs/ROBUSTNESS.md).
+ * Fault behaviour is pinned against the FaultInjector corpus: a
+ * single-lane run, serial and pooled Scheduler runs and the reference
+ * interpreter must agree on the *full* trap record (stats at the trap
+ * cycle included).  The one allowed divergence: the reference decodes
+ * eagerly, so it may trap on a word the threaded tier never fetches and
+ * rejects instead (docs/ROBUSTNESS.md).
  *
- * Also pinned here: the resumable `step_once` entry, the
- * `UDP_SIM_BACKEND` toggle and its parser across every run entry point,
- * the content-keyed shared compiled-image cache, and the LaneBlock
- * batch path Machine::run_parallel takes serially.  This file runs
- * under the CI sanitizer jobs.
+ * Also pinned here: the compiled state index a lane carries between
+ * `run_steps` calls (lockstep mode), the `UDP_SIM_BACKEND` toggle and
+ * its parser across every run entry point, the content-keyed shared
+ * compiled-image cache, and one image shared race-free by concurrently
+ * simulated lanes.  This file runs under the CI sanitizer jobs.
  */
 #include "assembler/builder.hpp"
 #include "baselines/dictionary.hpp"
@@ -46,7 +50,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -74,16 +80,54 @@ run_backend(const runtime::JobPlan &plan, SimBackend backend,
     return res;
 }
 
-/// Run `plan` alone through a serial Scheduler, whose Machine batches
-/// the wave's lanes through ThreadedEngine::run_block.
-runtime::JobResult
-run_block_path(const runtime::JobPlan &plan, std::uint64_t max_cycles)
+/// Run `copies` copies of `plan` through a Scheduler with `threads`
+/// simulation threads; every copy lands on its own lane of one wave.
+std::vector<runtime::JobResult>
+run_scheduled(const runtime::JobPlan &plan, std::uint64_t max_cycles,
+              unsigned threads, std::size_t copies)
 {
     runtime::SchedulerOptions opts;
-    opts.threads = 1;
+    opts.threads = threads;
     opts.max_cycles_per_lane = max_cycles;
     runtime::Scheduler sched(opts);
-    return sched.run({plan}).jobs.at(0);
+    return sched.run(std::vector<runtime::JobPlan>(copies, plan)).jobs;
+}
+
+/// Everything observable from one instrumented job run.
+struct RunCapture {
+    runtime::JobResult res;
+    std::vector<TraceEvent> events;
+    std::map<std::uint32_t,
+             std::tuple<std::uint64_t, Cycles, std::uint64_t,
+                        std::uint64_t>>
+        states;
+    std::map<Opcode, std::pair<std::uint64_t, Cycles>> actions;
+};
+
+/// Run `plan` with a tracer and profiler attached under `backend`.
+RunCapture
+run_instrumented(const runtime::JobPlan &plan, SimBackend backend)
+{
+    BackendGuard guard;
+    set_sim_backend(backend);
+
+    Machine m(AddressingMode::Restricted);
+    Tracer tracer;
+    Profiler prof;
+    m.set_tracer(&tracer);
+    m.set_profiler(&prof);
+
+    RunCapture c;
+    c.res = runtime::run_job_on(m, 0, 0, plan);
+    EXPECT_EQ(m.lane(0).compiled() != nullptr,
+              backend == SimBackend::Threaded);
+    c.events = tracer.events(0);
+    for (const auto &[base, sp] : prof.states())
+        c.states[base] = {sp.visits, sp.cycles, sp.sig_misses,
+                          sp.stall_cycles};
+    for (const auto &[op, ap] : prof.actions())
+        c.actions[op] = {ap.count, ap.cycles};
+    return c;
 }
 
 /// Full architectural equality: stats, registers, output, extracts,
@@ -104,6 +148,25 @@ expect_identical(const runtime::JobResult &a, const runtime::JobResult &b)
         EXPECT_EQ(a.accepts[i].stream_bit_pos, b.accepts[i].stream_bit_pos);
         EXPECT_EQ(a.accepts[i].id, b.accepts[i].id);
     }
+}
+
+/// Full architectural equality plus identical trace and profile streams.
+void
+expect_identical(const RunCapture &a, const RunCapture &b)
+{
+    expect_identical(a.res, b.res);
+
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        const TraceEvent &x = a.events[i];
+        const TraceEvent &y = b.events[i];
+        ASSERT_TRUE(x.kind == y.kind && x.cycle == y.cycle &&
+                    x.a == y.a && x.b == y.b && x.lane == y.lane)
+            << "trace diverges at event " << i;
+    }
+
+    EXPECT_EQ(a.states, b.states);
+    EXPECT_EQ(a.actions, b.actions);
 }
 
 /// One named plan per kernel in src/kernels (all ten workloads).
@@ -203,11 +266,20 @@ TEST(ThreadedCode, EveryKernelBitIdenticalToLegacy)
     for (const auto &[name, plan] : kernel_plans()) {
         SCOPED_TRACE(name);
         const auto threaded = run_backend(plan, SimBackend::Threaded);
-        const auto legacy = run_backend(plan, SimBackend::Legacy);
-        expect_identical(threaded, legacy);
+        expect_identical(threaded, run_backend(plan, SimBackend::Legacy));
+        // A bare threaded run also matches an instrumented reference
+        // run, and instrumented lanes take the reference interpreter
+        // under either backend, so the event streams cannot depend on
+        // the selection.
+        const RunCapture legacy =
+            run_instrumented(plan, SimBackend::Legacy);
+        expect_identical(threaded, legacy.res);
+        expect_identical(run_instrumented(plan, SimBackend::Threaded),
+                         legacy);
         // Guard against degenerate plans that would vacuously pass.
         EXPECT_GT(threaded.stats.cycles, 0u) << name;
         EXPECT_EQ(threaded.status, LaneStatus::Done) << name;
+        EXPECT_GT(legacy.events.size(), 0u) << name;
     }
 }
 
@@ -222,81 +294,126 @@ TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
         SCOPED_TRACE(name);
         Machine bare(AddressingMode::Restricted);
         const auto res = runtime::run_job_on(bare, 0, 0, plan);
-
-        Machine m(AddressingMode::Restricted);
-        Tracer tracer;
-        Profiler prof;
-        m.set_tracer(&tracer);
-        m.set_profiler(&prof);
-        const auto instr = runtime::run_job_on(m, 0, 0, plan);
-
-        EXPECT_EQ(res.stats, instr.stats);
-        EXPECT_EQ(res.output, instr.output);
+        const RunCapture instr =
+            run_instrumented(plan, SimBackend::Threaded);
+        EXPECT_EQ(res.stats, instr.res.stats);
+        EXPECT_EQ(res.output, instr.res.output);
         if (!plan.nfa_mode) {
-            EXPECT_GT(tracer.events(0).size(), 0u);
+            EXPECT_GT(instr.events.size(), 0u);
         }
     }
 }
 
-TEST(ThreadedCode, StepOnceTracksRunStepsAndLegacy)
+TEST(ThreadedCode, RunStepsCarryTracksLockstepAndLegacy)
 {
-    // step_once carries the compiled state across calls (resume_cs_);
-    // stepping one dispatch at a time must track run_steps(1) exactly,
-    // including interleaved use of both entries — and must track the
-    // reference interpreter's step_once bit for bit.
+    // A threaded lane carries its next state's compiled index between
+    // run_steps calls.  Stepping one dispatch at a time must track the
+    // reference interpreter bit for bit, also when reset() or load()
+    // restarts the lane mid-run (they drop the carry) and when a tracer
+    // moves it onto the reference every fifth step (which moves the
+    // state without the carry).  Machine::run_lockstep steps its lanes
+    // the same way, one arbitrated round per step, and must land on the
+    // same counters as a lane stepped by hand under a bank arbiter.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(10);
     const Bytes data(text.begin(), text.end());
     const auto plan = csv_kernel_spec().make_job(data);
 
-    set_sim_backend(SimBackend::Threaded);
+    const auto staged = [&](Machine &m, SimBackend backend) -> Lane & {
+        set_sim_backend(backend);
+        runtime::stage_job(m, 0, 0, plan);
+        return m.lane(0);
+    };
     Machine ma(AddressingMode::Restricted);
     Machine mb(AddressingMode::Restricted);
-    runtime::stage_job(ma, 0, 0, plan);
-    runtime::stage_job(mb, 0, 0, plan);
-    Lane &a = ma.lane(0);
-    Lane &b = mb.lane(0);
-    ASSERT_NE(a.compiled(), nullptr);
-
-    set_sim_backend(SimBackend::Legacy);
     Machine mc(AddressingMode::Restricted);
-    runtime::stage_job(mc, 0, 0, plan);
-    Lane &c = mc.lane(0);
+    Lane &a = staged(ma, SimBackend::Threaded);
+    Lane &b = staged(mb, SimBackend::Threaded);
+    Lane &c = staged(mc, SimBackend::Legacy);
+    ASSERT_NE(a.compiled(), nullptr);
     ASSERT_EQ(c.compiled(), nullptr);
 
+    // Restart lane `ln` from its entry state under `backend`.
+    const auto restart = [&](Lane &ln, SimBackend backend, bool reload) {
+        set_sim_backend(backend);
+        if (reload)
+            ln.load(*plan.program);
+        else
+            ln.reset();
+        for (const auto &[r, v] : plan.init_regs)
+            ln.set_reg(r, v);
+    };
+
+    BankArbiter arbiter;
+    b.set_arbiter([&arbiter](unsigned bank, bool is_write) {
+        return arbiter.request(bank, is_write);
+    });
+    Tracer tracer;
     LaneStatus sa = LaneStatus::Running;
+    LaneStatus sb = LaneStatus::Running;
     std::uint64_t steps = 0;
+    unsigned restarts = 0;
     while (sa == LaneStatus::Running && steps < 1'000'000) {
-        sa = a.step_once();
-        // Interleave to exercise the resume cache invalidation.
-        const LaneStatus sb =
-            (steps % 3 == 0) ? b.run_steps(1) : b.step_once();
-        const LaneStatus sc = c.step_once();
-        ASSERT_EQ(sa, sb) << "threaded entries diverged at step " << steps;
+        if (steps == 157 || steps == 311) {
+            const bool reload = steps == 311;
+            restart(a, SimBackend::Threaded, reload);
+            restart(c, SimBackend::Legacy, reload);
+            ASSERT_NE(a.compiled(), nullptr);
+            ++restarts;
+        }
+        b.set_tracer(steps % 5 == 2 ? &tracer : nullptr);
+        sa = a.run_steps(1);
+        if (sb == LaneStatus::Running) {
+            arbiter.begin_cycle();
+            sb = b.run_steps(1);
+        }
+        const LaneStatus sc = c.run_steps(1);
         ASSERT_EQ(sa, sc) << "backends diverged at step " << steps;
-        ASSERT_EQ(a.stats(), b.stats()) << "diverged at step " << steps;
         ASSERT_EQ(a.stats(), c.stats()) << "diverged at step " << steps;
         ++steps;
     }
     EXPECT_NE(sa, LaneStatus::Running);
-    EXPECT_EQ(a.output(), b.output());
+    EXPECT_EQ(restarts, 2u);
+    EXPECT_GT(tracer.events(0).size(), 0u);
+    a.finish_output();
+    c.finish_output();
     EXPECT_EQ(a.output(), c.output());
+    // Lane a's last restart re-ran the job from its entry state.
+    EXPECT_EQ(a.stats(), run_backend(plan, SimBackend::Threaded).stats);
+
+    // A one-lane lockstep run: run_steps(1) per arbitrated round.
+    set_sim_backend(SimBackend::Threaded);
+    Machine ml(AddressingMode::Restricted);
+    JobSpec job;
+    job.program = plan.program.get();
+    job.input = plan.input;
+    job.init_regs = plan.init_regs;
+    ml.assign({job});
+    const MachineResult lock = ml.run_lockstep();
+    EXPECT_EQ(lock.status.at(0), sb);
+    EXPECT_EQ(lock.total, b.stats());
+    EXPECT_GT(b.stats().stall_cycles, 0u);
+    b.finish_output();
+    ml.lane(0).finish_output();
+    EXPECT_EQ(ml.lane(0).output(), b.output());
 }
 
 TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
 {
-    // threads == 1 routes whole waves through ThreadedEngine::run_block
-    // (the LaneBlock batch path); a thread pool runs per-lane.  Both
-    // must agree with each other and with a reference serial run.
+    // A serial Scheduler runs every lane of a wave on the calling
+    // thread; a pool of 8 shares the waves' lanes, all reading one
+    // compiled image and its IR at once (race-free under TSan in CI).
+    // Both must agree with each other, with each job run alone through
+    // run_job_on, and with a reference serial run.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(600);
     const Bytes data(text.begin(), text.end());
+    const auto jobs =
+        runtime::chunk_jobs(csv_kernel_spec(), data, 4 * 1024,
+                            runtime::align_after_delim('\n'));
 
     const auto run_with = [&](SimBackend backend, unsigned threads) {
         set_sim_backend(backend);
-        const auto jobs = runtime::chunk_jobs(
-            csv_kernel_spec(), data, 4 * 1024,
-            runtime::align_after_delim('\n'));
         runtime::SchedulerOptions opts;
         opts.threads = threads;
         runtime::Scheduler sched(opts);
@@ -307,6 +424,7 @@ TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
     const auto pooled = run_with(SimBackend::Threaded, 8);
     const auto reference = run_with(SimBackend::Legacy, 1);
     EXPECT_GT(serial.waves.size(), 0u);
+    EXPECT_GT(jobs.size(), 1u);
     for (const auto *other : {&pooled, &reference}) {
         EXPECT_EQ(serial.total, other->total);
         EXPECT_EQ(serial.wall_cycles, other->wall_cycles);
@@ -316,15 +434,22 @@ TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
             EXPECT_EQ(serial.jobs[i].extracts, other->jobs[i].extracts);
         }
     }
+    ASSERT_EQ(serial.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_identical(run_backend(jobs[i], SimBackend::Threaded),
+                         serial.jobs[i]);
+    }
 }
 
 TEST(ThreadedCode, FaultCorpusBitIdenticalAcrossFastPaths)
 {
     // A deterministic malformed-image corpus: every mutated plan must
     // produce the identical full trap record (stats included) on the
-    // threaded tier's two run paths — the single-lane engine behind
-    // Lane::run and the LaneBlock batch behind a serial run_parallel —
-    // and on the legacy path wherever it does not trap early (below).
+    // threaded tier's run paths — a single lane through run_job_on,
+    // and serial and pooled Schedulers, each running four copies of
+    // the plan side by side on one wave — and on the legacy path
+    // wherever it does not trap early (below).
     const std::string text = workloads::crimes_csv(30);
     const Bytes data(text.begin(), text.end());
     const auto spec = csv_kernel_spec();
@@ -385,11 +510,15 @@ TEST(ThreadedCode, FaultCorpusBitIdenticalAcrossFastPaths)
         SCOPED_TRACE(name);
         const auto threaded =
             run_backend(plan, SimBackend::Threaded, kBudget);
-        const auto block = run_block_path(plan, kBudget);
+        for (const unsigned threads : {1u, 8u})
+            for (const auto &job :
+                 run_scheduled(plan, kBudget, threads, 4)) {
+                SCOPED_TRACE(threads);
+                expect_identical(threaded, job);
+                EXPECT_EQ(threaded.fault.detail, job.fault.detail);
+            }
         const auto legacy =
             run_backend(plan, SimBackend::Legacy, kBudget);
-        expect_identical(threaded, block);
-        EXPECT_EQ(threaded.fault.detail, block.fault.detail);
         // The legacy path decodes state metadata eagerly every step, so
         // it can trap on a poisoned word the threaded tier never fetches
         // (it rejects at the miss walk instead; docs/ROBUSTNESS.md).
@@ -421,6 +550,110 @@ TEST(ThreadedCode, WatchdogCutsEveryBackendAtTheSameCycle)
     const auto legacy = run_backend(plan, SimBackend::Legacy, 2'000);
     EXPECT_EQ(threaded.status, LaneStatus::TimedOut);
     expect_identical(threaded, legacy);
+}
+
+TEST(ThreadedCode, LockstepBitIdenticalAcrossPaths)
+{
+    // Four lanes under the shared bank arbiter; lane 1 carries a forced
+    // trap, which must fire at the first round at or after its cycle
+    // with the same trap record on both tiers.
+    BackendGuard guard;
+    const std::string text = workloads::crimes_csv(20);
+    const Bytes data(text.begin(), text.end());
+    const auto plan = csv_kernel_spec().make_job(data);
+
+    const auto run_lockstep = [&](SimBackend backend) {
+        set_sim_backend(backend);
+        Machine m(AddressingMode::Restricted);
+        std::vector<JobSpec> jobs(4);
+        for (unsigned i = 0; i < 4; ++i) {
+            jobs[i].program = plan.program.get();
+            jobs[i].input = plan.input;
+            jobs[i].window_base =
+                static_cast<ByteAddr>(i) * plan.window_bytes;
+            jobs[i].init_regs = plan.init_regs;
+        }
+        jobs[1].trap_cycle = 100;
+        m.assign(std::move(jobs));
+        return m.run_lockstep();
+    };
+
+    const MachineResult threaded = run_lockstep(SimBackend::Threaded);
+    const MachineResult legacy = run_lockstep(SimBackend::Legacy);
+    EXPECT_EQ(threaded.wall_cycles, legacy.wall_cycles);
+    EXPECT_EQ(threaded.total, legacy.total);
+    EXPECT_EQ(threaded.status, legacy.status);
+    EXPECT_EQ(threaded.status.at(1), LaneStatus::Faulted);
+    EXPECT_EQ(threaded.status.at(0), LaneStatus::Done);
+    const LaneFault &tf = threaded.faults.at(1);
+    const LaneFault &lf = legacy.faults.at(1);
+    EXPECT_EQ(tf.code, FaultCode::ForcedTrap);
+    EXPECT_GE(tf.cycle, 100u);
+    EXPECT_EQ(tf.code, lf.code);
+    EXPECT_EQ(tf.cycle, lf.cycle);
+    EXPECT_EQ(tf.state_base, lf.state_base);
+    EXPECT_EQ(tf.detail, lf.detail);
+    EXPECT_GT(threaded.total.stall_cycles, 0u)
+        << "lockstep arbitration should see bank conflicts here";
+}
+
+TEST(ThreadedCode, FaultCodesAgreeAcrossPaths)
+{
+    // A corrupt word on the *taken* path must trap with the same
+    // terminal status and FaultCode on both interpreter tiers
+    // (docs/ROBUSTNESS.md).  Stats at the trap point may differ (the
+    // reference decodes eagerly, the threaded tier faults at fetch), so
+    // parity is status + code level.
+    BackendGuard guard;
+    const auto make = [] {
+        ProgramBuilder b;
+        const StateId s = b.add_state();
+        b.on_symbol(s, 'a', s,
+                    b.add_block({act_imm(Opcode::Addi, 1, 1, 1)}));
+        b.set_entry(s);
+        return b.build();
+    };
+
+    struct Case {
+        const char *name;
+        Program prog;
+        FaultCode expect;
+    };
+    std::vector<Case> cases;
+    { // Reserved transition type on the arc the input drives into.
+        Program p = make();
+        p.dispatch[p.entry + 'a'] = Word{7u} << 8;
+        cases.push_back({"poisoned dispatch", std::move(p),
+                         FaultCode::BadDispatch});
+    }
+    { // Undefined opcode in the taken arc's action block.
+        Program p = make();
+        const Transition t = decode_transition(p.dispatch[p.entry + 'a']);
+        const std::size_t addr =
+            t.attach_mode == AttachMode::Direct
+                ? std::size_t{t.attach}
+                : std::size_t{p.init_action_base} +
+                      (std::size_t{t.attach} << p.init_action_scale);
+        p.actions.at(addr) = Word{0x7Fu} << 25;
+        cases.push_back({"poisoned actions", std::move(p),
+                         FaultCode::BadAction});
+    }
+
+    const Bytes input(8, 'a');
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        for (const SimBackend backend :
+             {SimBackend::Threaded, SimBackend::Legacy}) {
+            SCOPED_TRACE(sim_backend_name(backend));
+            set_sim_backend(backend);
+            LocalMemory mem;
+            Lane lane(0, mem);
+            lane.load(c.prog);
+            lane.set_input(input);
+            EXPECT_EQ(lane.run(), LaneStatus::Faulted);
+            EXPECT_EQ(lane.fault().code, c.expect);
+        }
+    }
 }
 
 TEST(ThreadedCode, SharedCacheReturnsOneImagePerProgramContent)
@@ -466,9 +699,9 @@ TEST(ThreadedCode, WavesAndLanesShareOneCompiledImage)
 
 TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
 {
-    // The satellite fix: load/run/run_steps/step_once/run_lockstep must
-    // all honor set_sim_backend consistently — no entry may silently
-    // run a different tier than the toggle selects.
+    // load/run/run_steps/run_lockstep must all honor set_sim_backend
+    // consistently — no entry may silently run a different tier than
+    // the toggle selects.
     BackendGuard guard;
     const Program prog = csv_parser_program();
     const std::string text = workloads::crimes_csv(5);
@@ -481,6 +714,10 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
     lane.load(prog);
     EXPECT_EQ(lane.compiled(), nullptr);
     EXPECT_EQ(sim_backend(), SimBackend::Legacy);
+
+    // A pre-resolved image is dropped when the toggle says legacy.
+    lane.load(prog, shared_compiled(prog));
+    EXPECT_EQ(lane.compiled(), nullptr);
 
     set_sim_backend(SimBackend::Threaded);
     lane.load(prog);
@@ -511,7 +748,7 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
             break;
         default:
             while (st == LaneStatus::Running)
-                st = ln.step_once();
+                st = ln.run_steps(1);
             break;
         }
         EXPECT_EQ(st, LaneStatus::Done);
