@@ -23,7 +23,10 @@
  * `run_steps` calls (lockstep mode), the `UDP_SIM_BACKEND` toggle and
  * its parser across every run entry point, the content-keyed shared
  * compiled-image cache, and one image shared race-free by concurrently
- * simulated lanes.  This file runs under the CI sanitizer jobs.
+ * simulated lanes.  The `Predecode` tests pin the shared image from
+ * the lane's side: instrumented runs against bare ones, step batching,
+ * NFA-mode waves on a thread pool, and which image `load()` binds.
+ * This file runs under the CI sanitizer jobs.
  */
 #include "assembler/builder.hpp"
 #include "baselines/dictionary.hpp"
@@ -267,10 +270,20 @@ TEST(ThreadedCode, EveryKernelBitIdenticalToLegacy)
         SCOPED_TRACE(name);
         const auto threaded = run_backend(plan, SimBackend::Threaded);
         expect_identical(threaded, run_backend(plan, SimBackend::Legacy));
-        // A bare threaded run also matches an instrumented reference
-        // run, and instrumented lanes take the reference interpreter
-        // under either backend, so the event streams cannot depend on
-        // the selection.
+        // Guard against degenerate plans that would vacuously pass.
+        EXPECT_GT(threaded.stats.cycles, 0u) << name;
+        EXPECT_EQ(threaded.status, LaneStatus::Done) << name;
+    }
+}
+
+TEST(Predecode, EveryKernelBitIdenticalToLegacyPath)
+{
+    for (const auto &[name, plan] : kernel_plans()) {
+        SCOPED_TRACE(name);
+        // A bare threaded run matches an instrumented reference run, and
+        // instrumented lanes take the reference interpreter under either
+        // backend, so the event streams cannot depend on the selection.
+        const auto threaded = run_backend(plan, SimBackend::Threaded);
         const RunCapture legacy =
             run_instrumented(plan, SimBackend::Legacy);
         expect_identical(threaded, legacy.res);
@@ -278,7 +291,6 @@ TEST(ThreadedCode, EveryKernelBitIdenticalToLegacy)
                          legacy);
         // Guard against degenerate plans that would vacuously pass.
         EXPECT_GT(threaded.stats.cycles, 0u) << name;
-        EXPECT_EQ(threaded.status, LaneStatus::Done) << name;
         EXPECT_GT(legacy.events.size(), 0u) << name;
     }
 }
@@ -304,7 +316,23 @@ TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
     }
 }
 
-TEST(ThreadedCode, RunStepsCarryTracksLockstepAndLegacy)
+TEST(Predecode, UninstrumentedRunsMatchInstrumentedCounters)
+{
+    // The reference interpreter's tracer and profiler hooks observe
+    // only: under the legacy backend, where bare and instrumented lanes
+    // take the same interpreter, attaching them charges nothing extra.
+    for (const auto &[name, plan] : kernel_plans()) {
+        SCOPED_TRACE(name);
+        const auto bare = run_backend(plan, SimBackend::Legacy);
+        const RunCapture instr = run_instrumented(plan, SimBackend::Legacy);
+        expect_identical(bare, instr.res);
+        if (!plan.nfa_mode) {
+            EXPECT_GT(instr.events.size(), 0u);
+        }
+    }
+}
+
+TEST(ThreadedCode, StepOnceTracksRunStepsAndLegacy)
 {
     // A threaded lane carries its next state's compiled index between
     // run_steps calls.  Stepping one dispatch at a time must track the
@@ -398,6 +426,46 @@ TEST(ThreadedCode, RunStepsCarryTracksLockstepAndLegacy)
     EXPECT_EQ(ml.lane(0).output(), b.output());
 }
 
+TEST(Predecode, StepOnceMatchesRunSteps)
+{
+    // The carried compiled index must not depend on how the steps are
+    // batched: a lane stepped one dispatch at a time tracks a lane run
+    // in chunks of 1 to 4 steps at every chunk boundary.
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Threaded);
+    const std::string text = workloads::crimes_csv(10);
+    const Bytes data(text.begin(), text.end());
+    const auto plan = csv_kernel_spec().make_job(data);
+
+    Machine ma(AddressingMode::Restricted);
+    Machine mb(AddressingMode::Restricted);
+    runtime::stage_job(ma, 0, 0, plan);
+    runtime::stage_job(mb, 0, 0, plan);
+    Lane &a = ma.lane(0);
+    Lane &b = mb.lane(0);
+    ASSERT_NE(b.compiled(), nullptr);
+
+    LaneStatus sa = LaneStatus::Running;
+    LaneStatus sb = LaneStatus::Running;
+    std::uint64_t steps = 0;
+    for (unsigned chunk = 0;
+         sb == LaneStatus::Running && steps < 1'000'000; ++chunk) {
+        const unsigned n = 1 + chunk % 4;
+        sb = b.run_steps(n);
+        for (unsigned i = 0; i < n && sa == LaneStatus::Running; ++i) {
+            sa = a.run_steps(1);
+            ++steps;
+        }
+        ASSERT_EQ(sa, sb) << "diverged at step " << steps;
+        ASSERT_EQ(a.stats(), b.stats()) << "diverged at step " << steps;
+    }
+    EXPECT_EQ(sa, LaneStatus::Done);
+    a.finish_output();
+    b.finish_output();
+    EXPECT_EQ(a.output(), b.output());
+    EXPECT_EQ(a.stats(), run_backend(plan, SimBackend::Threaded).stats);
+}
+
 TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
 {
     // A serial Scheduler runs every lane of a wave on the calling
@@ -440,6 +508,33 @@ TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
         expect_identical(run_backend(jobs[i], SimBackend::Threaded),
                          serial.jobs[i]);
     }
+}
+
+TEST(Predecode, ThreadedWavesShareOneDecodedImage)
+{
+    // NFA-mode lanes walk the DecodedProgram IR their compiled image
+    // owns.  Eight copies of each pattern group on one wave, simulated
+    // by a pool of 8 threads all reading one image and its IR (race-free
+    // under TSan in CI), must match a serial run and a lone lane copy
+    // for copy, accepts included.
+    unsigned nfa_groups = 0;
+    for (const auto &[name, plan] : kernel_plans()) {
+        if (name.rfind("pattern_", 0) != 0)
+            continue;
+        SCOPED_TRACE(name);
+        const auto lone = run_backend(plan, SimBackend::Threaded);
+        const auto serial = run_scheduled(plan, ~std::uint64_t{0}, 1, 8);
+        const auto pooled = run_scheduled(plan, ~std::uint64_t{0}, 8, 8);
+        ASSERT_EQ(serial.size(), 8u);
+        ASSERT_EQ(pooled.size(), 8u);
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE(i);
+            expect_identical(lone, serial[i]);
+            expect_identical(lone, pooled[i]);
+        }
+        nfa_groups += plan.nfa_mode;
+    }
+    EXPECT_GT(nfa_groups, 0u);
 }
 
 TEST(ThreadedCode, FaultCorpusBitIdenticalAcrossFastPaths)
@@ -715,10 +810,6 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
     EXPECT_EQ(lane.compiled(), nullptr);
     EXPECT_EQ(sim_backend(), SimBackend::Legacy);
 
-    // A pre-resolved image is dropped when the toggle says legacy.
-    lane.load(prog, shared_compiled(prog));
-    EXPECT_EQ(lane.compiled(), nullptr);
-
     set_sim_backend(SimBackend::Threaded);
     lane.load(prog);
     EXPECT_NE(lane.compiled(), nullptr);
@@ -767,6 +858,26 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
             EXPECT_EQ(got.stats, ref.stats);
             EXPECT_EQ(got.output, ref.output);
         }
+}
+
+TEST(Predecode, ToggleControlsThePathLanesTake)
+{
+    BackendGuard guard;
+    const Program prog = csv_parser_program();
+    LocalMemory mem;
+    Lane lane(0, mem);
+
+    set_sim_backend(SimBackend::Threaded);
+    lane.load(prog);
+    EXPECT_NE(lane.compiled(), nullptr);
+
+    set_sim_backend(SimBackend::Legacy);
+    lane.load(prog);
+    EXPECT_EQ(lane.compiled(), nullptr);
+
+    // A pre-resolved image is dropped when the toggle says legacy.
+    lane.load(prog, shared_compiled(prog));
+    EXPECT_EQ(lane.compiled(), nullptr);
 }
 
 TEST(ThreadedCode, BackendParserAcceptsOnlyTheTwoTiers)
