@@ -39,14 +39,23 @@ decode_action_lenient(Word raw)
     return decode_action(raw);
 }
 
-/// FNV-1a 64-bit over a word stream.
-struct Fnv64 {
+/// 64-bit-word-at-a-time hash state.  Each step is a bijection of `h`
+/// for a fixed input (xor, odd multiply, xorshift) and injective in the
+/// input for a fixed `h`, so two streams of equal length that differ in
+/// one word always hash differently.
+struct WordHash {
     std::uint64_t h = 0xCBF29CE484222325ull;
     void mix(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001B3ull;
-        }
+        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 29;
+    }
+    /// Two 32-bit program words per step (an odd tail word alone).
+    void mix_words(const std::vector<Word> &ws) {
+        std::size_t i = 0;
+        for (; i + 1 < ws.size(); i += 2)
+            mix(std::uint64_t{ws[i]} | (std::uint64_t{ws[i + 1]} << 32));
+        if (i < ws.size())
+            mix(ws[i]);
     }
 };
 
@@ -55,7 +64,7 @@ struct Fnv64 {
 std::uint64_t
 program_fingerprint(const Program &prog)
 {
-    Fnv64 f;
+    WordHash f;
     f.mix(prog.dispatch.size());
     f.mix(prog.actions.size());
     f.mix(prog.states.size());
@@ -65,10 +74,8 @@ program_fingerprint(const Program &prog)
     f.mix(prog.init_action_base);
     f.mix(prog.init_action_scale);
     f.mix(prog.init_dispatch_base);
-    for (const Word w : prog.dispatch)
-        f.mix(w);
-    for (const Word w : prog.actions)
-        f.mix(w);
+    f.mix_words(prog.dispatch);
+    f.mix_words(prog.actions);
     for (const StateMeta &s : prog.states) {
         f.mix(s.base);
         f.mix((std::uint64_t{s.reg_source} << 32) |

@@ -122,7 +122,8 @@ class DecodedProgram
 };
 
 /// 64-bit content fingerprint of a program (images, directory, init
-/// configuration) — the identity key of the shared image cache.
+/// configuration) — the identity key of the shared image cache.  A
+/// change to any single word of the program always changes it.
 std::uint64_t program_fingerprint(const Program &prog);
 
 /**

@@ -34,10 +34,16 @@ void
 Lane::load(const Program &prog,
            std::shared_ptr<const CompiledProgram> compiled)
 {
+    if (sim_backend() != SimBackend::Threaded)
+        compiled = nullptr;
+    else if (!compiled)
+        compiled = shared_compiled(prog);
+    else if (!compiled->shape_matches(prog))
+        throw UdpError("Lane: compiled image does not match the program "
+                       "(stale image: re-resolve it after changing the "
+                       "program)");
     prog_ = &prog;
-    compiled_ = nullptr;
-    if (sim_backend() == SimBackend::Threaded)
-        compiled_ = compiled ? std::move(compiled) : shared_compiled(prog);
+    compiled_ = std::move(compiled);
     reset();
 }
 

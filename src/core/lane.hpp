@@ -93,8 +93,11 @@ class Lane
 
     /// Bind the program with its compiled image already resolved (the
     /// runtime's JobPlan path, which looks it up once per job instead
-    /// of once per lane).  `compiled` may be null; it is dropped unless
-    /// the Threaded backend is active.
+    /// of once per lane).  `compiled` may be null (the lane then binds
+    /// the cached image); it is dropped unless the Threaded backend is
+    /// active.  Throws UdpError, leaving the lane as it was, when
+    /// `compiled` was built from a program of another shape
+    /// (CompiledProgram::shape_matches).
     void load(const Program &prog,
               std::shared_ptr<const CompiledProgram> compiled);
 

@@ -119,7 +119,7 @@ Machine::assign(std::vector<JobSpec> jobs)
         if (!j.program)
             continue;
         Lane &ln = *lanes_[i];
-        ln.load(*j.program);
+        ln.load(*j.program, j.compiled);
         ln.set_input(j.input);
         ln.set_window_base(j.window_base);
         ln.set_forced_trap(j.trap_cycle);

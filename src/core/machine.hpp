@@ -31,6 +31,11 @@ namespace udp {
 /// Work assignment for one lane.
 struct JobSpec {
     const Program *program = nullptr; ///< nullptr = lane idle
+    /// The program's threaded-code image, resolved by the caller (the
+    /// runtime carries JobPlan::compiled here) so assign() does not
+    /// hash the program again.  Null: the lane looks it up in the
+    /// shared cache (shared_compiled) under the Threaded backend.
+    std::shared_ptr<const CompiledProgram> compiled;
     /// Stream contents.  Non-owning: the lane's StreamBuffer reads these
     /// bytes in place for the whole run, so the caller keeps the backing
     /// storage alive until the run's results are collected.  The runtime

@@ -105,6 +105,9 @@ CompiledProgram::CompiledProgram(const Program &prog,
     init_action_base_ = prog.init_action_base;
     init_action_scale_ = prog.init_action_scale;
     nops_ = static_cast<std::uint32_t>(d.action_words());
+    src_dispatch_words_ = prog.dispatch.size();
+    src_states_ = prog.states.size();
+    src_entry_ = prog.entry;
 
     // Dynamic-base scan: a Setbase into the dispatch window invalidates
     // the compiled next-state links; a Setab invalidates static

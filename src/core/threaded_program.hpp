@@ -163,6 +163,16 @@ class CompiledProgram
     /// Content fingerprint of the source program (the cache key).
     std::uint64_t fingerprint() const { return fingerprint_; }
 
+    /// O(1) shape check: `prog` has the dispatch, action and state
+    /// counts and the entry this image was built from.  Catches a
+    /// caller-supplied image left stale by a swapped program.
+    bool shape_matches(const Program &prog) const {
+        return prog.dispatch.size() == src_dispatch_words_ &&
+               prog.actions.size() == nops_ &&
+               prog.states.size() == src_states_ &&
+               prog.entry == src_entry_;
+    }
+
   private:
     ResolvedArc resolve_take(const Transition &t, std::uint8_t miss,
                              std::uint16_t add_reads) const;
@@ -176,6 +186,9 @@ class CompiledProgram
     std::shared_ptr<const DecodedProgram> decoded_;
     std::uint64_t fingerprint_ = 0;
     std::uint32_t nops_ = 0;
+    std::size_t src_dispatch_words_ = 0;
+    std::size_t src_states_ = 0;
+    std::uint32_t src_entry_ = 0;
     std::uint32_t init_dispatch_base_ = 0;
     std::uint32_t init_action_base_ = 0;
     unsigned init_action_scale_ = 0;

@@ -61,7 +61,9 @@ harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
     res.stats = ln.stats();
     for (unsigned r = 0; r < kNumScalarRegs; ++r)
         res.regs[r] = ln.reg(r);
-    if (pool) {
+    // Only a non-empty region takes a pooled buffer: an empty one would
+    // cost the pool's lock for nothing, and recycle() drops it anyway.
+    if (pool && !ln.output().empty()) {
         // Pooled buffers retain capacity across waves: the assign below
         // copies bytes but — once the pool is warm — allocates nothing.
         res.output = pool->acquire();
@@ -85,7 +87,7 @@ harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
         if (std::uint64_t{e.offset} + len > plan.window_bytes)
             throw UdpError("runtime: job '" + plan.name +
                            "' extract outside its window");
-        Bytes buf = pool ? pool->acquire() : Bytes{};
+        Bytes buf = pool && len ? pool->acquire() : Bytes{};
         m.unstage(window_base + e.offset, static_cast<std::size_t>(len),
                   buf);
         res.extracts.push_back(std::move(buf));

@@ -40,10 +40,11 @@ void stage_job(Machine &m, unsigned lane, ByteAddr window_base,
  * `window_base` with terminal status `status`.  Flushes the output
  * bitstream and copies registers, output, accepts and extract regions.
  *
- * When `pool` is non-null the result's output and extract buffers are
- * acquired from it, so a recycled steady state copies into retained
- * capacity instead of allocating per attempt (runtime/arena.hpp).
- * Contents are byte-identical either way.
+ * When `pool` is non-null the result's non-empty output and extract
+ * buffers are acquired from it, so a recycled steady state copies into
+ * retained capacity instead of allocating per attempt
+ * (runtime/arena.hpp).  An empty one stays a plain empty vector and
+ * never touches the pool.  Contents are byte-identical either way.
  */
 JobResult harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
                       const JobPlan &plan, LaneStatus status,

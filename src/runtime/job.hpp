@@ -67,8 +67,11 @@ struct JobPlan {
     std::string name;
     std::shared_ptr<const Program> program;
     /// Shared threaded-code image of `program` (core/threaded_program.hpp),
-    /// resolved once per job (not once per lane) by resolve_image(); null
-    /// unless the Threaded backend is active.
+    /// resolved once per job (not once per lane) by resolve_image().
+    /// stage_job and the Scheduler (through JobSpec::compiled) hand it
+    /// to the lane as is, so no run path hashes the program again.
+    /// Null unless the Threaded backend was active at resolve time; a
+    /// lane given a null image looks it up in the shared cache itself.
     std::shared_ptr<const CompiledProgram> compiled;
     /// Stream contents: a non-owning view pinned by its InputArena.
     /// Assigning a `Bytes` materializes a private arena (one move).
@@ -94,7 +97,10 @@ struct JobPlan {
 
     /// (Re)resolve `compiled` for `program` under the active backend.
     /// KernelSpec::make_job calls it once per job, FaultInjector again
-    /// after each program mutation, so a plan never runs a stale image.
+    /// after each program mutation.  Whoever changes `program` (or its
+    /// contents) must call it again: a stale image of another shape is
+    /// rejected when a lane loads it (CompiledProgram::shape_matches),
+    /// but one of the same shape would run the old code.
     void resolve_image() {
         compiled = program && sim_backend() == SimBackend::Threaded
                        ? shared_compiled(*program)

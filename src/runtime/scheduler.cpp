@@ -209,6 +209,7 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                 machine_->stage(base + s.offset, s.data);
             JobSpec &js = specs[pl.start_bank];
             js.program = plan.program.get();
+            js.compiled = plan.compiled;
             js.input = plan.input;
             js.window_base = base;
             js.nfa_mode = plan.nfa_mode;

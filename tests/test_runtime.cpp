@@ -12,6 +12,7 @@
 #include "kernels/csv.hpp"
 #include "kernels/dictionary.hpp"
 #include "kernels/histogram.hpp"
+#include "kernels/pattern.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/kernel_spec.hpp"
@@ -499,4 +500,37 @@ TEST(Scheduler, FaultFreeRunsIgnoreRetryPolicy)
     EXPECT_EQ(b.faulted_runs, 0u);
     EXPECT_EQ(b.retries, 0u);
     EXPECT_EQ(b.quarantined, 0u);
+}
+
+TEST(Scheduler, NoOutputJobTakesNoPoolBuffer)
+{
+    // Pattern-scan jobs report accepts only: no output bytes and no
+    // extracts.  Harvesting them must not take a pooled buffer (the
+    // pool's lock for an empty vector that recycle() would drop).
+    const auto pats = workloads::nids_patterns(16, false);
+    const Bytes payload = workloads::packet_payloads(4 * 1024, pats, 0.02);
+    std::vector<JobPlan> jobs;
+    for (const auto &spec :
+         kernels::pattern_group_specs(pats, kernels::FaModel::Adfa, 4))
+        jobs.push_back(spec.make_job(payload));
+
+    Scheduler sched;
+    ScheduleReport rep = sched.run(jobs);
+    std::uint64_t accepts = 0;
+    for (const JobResult &jr : rep.jobs) {
+        EXPECT_EQ(jr.status, LaneStatus::Done);
+        EXPECT_TRUE(jr.output.empty());
+        EXPECT_TRUE(jr.extracts.empty());
+        accepts += jr.accepts.size();
+    }
+    EXPECT_GT(accepts, 0u); // the scans did run
+    sched.recycle(std::move(rep));
+    EXPECT_EQ(sched.pool().stats().acquired, 0u);
+    EXPECT_EQ(sched.pool().stats().released, 0u);
+
+    // A job with output bytes still harvests through the pool.
+    const std::string text = workloads::crimes_csv(40);
+    sched.run({kernels::csv_kernel_spec().make_job(
+        Bytes(text.begin(), text.end()))});
+    EXPECT_GT(sched.pool().stats().acquired, 0u);
 }

@@ -22,8 +22,9 @@
  * Also pinned here: the compiled state index a lane carries between
  * `run_steps` calls (lockstep mode), the `UDP_SIM_BACKEND` toggle and
  * its parser across every run entry point, the content-keyed shared
- * compiled-image cache, and one image shared race-free by concurrently
- * simulated lanes.  The `Predecode` tests pin the shared image from
+ * compiled-image cache and its fingerprint, the image a plan carries to
+ * every run path (and the guard against a stale one), and one image
+ * shared race-free by concurrently simulated lanes.  The `Predecode` tests pin the shared image from
  * the lane's side: instrumented runs against bare ones, step batching,
  * NFA-mode waves on a thread pool, and which image `load()` binds.
  * This file runs under the CI sanitizer jobs.
@@ -772,6 +773,135 @@ TEST(ThreadedCode, SharedCacheReturnsOneImagePerProgramContent)
     Program other = prog;
     other.dispatch[other.entry] ^= 1u;
     EXPECT_NE(shared_compiled(other).get(), a.get());
+}
+
+TEST(ThreadedCode, FingerprintSeesEverySingleWordEdit)
+{
+    // The shared image cache is keyed by program_fingerprint, and lanes
+    // trust a carried image, so every one-word edit — a FaultInjector
+    // bit flip, one appended word, a moved entry — must change the
+    // fingerprint, or the edited program would run the old image.
+    const auto cpats = workloads::nids_patterns(8, true);
+    const auto nfa = pattern_group_specs(cpats, FaModel::Nfa, 2);
+    ASSERT_TRUE(nfa[0].nfa_mode);
+    for (const Program &base : {csv_parser_program(), *nfa[0].program}) {
+        const std::uint64_t fp = program_fingerprint(base);
+        Program p = base;
+        std::size_t edits = 0, unchanged = 0;
+        const auto check_edit = [&] {
+            ++edits;
+            unchanged += program_fingerprint(p) == fp;
+        };
+        for (std::vector<Word> *ws : {&p.dispatch, &p.actions})
+            for (Word &w : *ws)
+                for (unsigned b = 0; b < 32; ++b) {
+                    w ^= Word{1} << b;
+                    check_edit();
+                    w ^= Word{1} << b;
+                }
+        EXPECT_EQ(program_fingerprint(p), fp); // every flip undone
+        EXPECT_EQ(edits, 32 * (base.dispatch.size() + base.actions.size()));
+
+        p.dispatch.push_back(0);
+        check_edit();
+        p.dispatch.pop_back();
+        p.actions.push_back(0);
+        check_edit();
+        p.actions.pop_back();
+        ASSERT_GT(p.states.size(), 1u);
+        p.entry = p.states[0].base == base.entry ? p.states[1].base
+                                                 : p.states[0].base;
+        check_edit();
+        EXPECT_EQ(unchanged, 0u) << "of " << edits << " edits";
+    }
+}
+
+TEST(ThreadedCode, StalePlanImageIsRejected)
+{
+    // A plan whose program was swapped without resolve_image() still
+    // carries the old program's image.  Lanes no longer hash a program
+    // they are handed an image for, so Lane::load's shape check must
+    // reject the stale image on both run paths instead of running the
+    // old code.
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Threaded);
+    const auto pats = workloads::nids_patterns(16, false);
+    const Bytes payload = workloads::packet_payloads(4 * 1024, pats);
+    const auto specs = pattern_group_specs(pats, FaModel::Adfa, 2);
+    ASSERT_EQ(specs.size(), 2u);
+
+    runtime::JobPlan plan = specs[0].make_job(payload);
+    plan.program = specs[1].program; // swapped; image not re-resolved
+    ASSERT_NE(plan.compiled, nullptr);
+    ASSERT_FALSE(plan.compiled->shape_matches(*plan.program));
+
+    Machine m(AddressingMode::Restricted);
+    EXPECT_THROW(runtime::run_job_on(m, 0, 0, plan), UdpError);
+    runtime::Scheduler sched;
+    EXPECT_THROW(sched.run({plan}), UdpError);
+
+    // Re-resolved, the plan runs the new program on both paths.
+    plan.resolve_image();
+    const auto fresh = run_backend(specs[1].make_job(payload),
+                                   SimBackend::Threaded);
+    EXPECT_EQ(fresh.status, LaneStatus::Done);
+    expect_identical(fresh, runtime::run_job_on(m, 0, 0, plan));
+    expect_identical(fresh, sched.run({plan}).jobs.at(0));
+}
+
+TEST(ThreadedCode, CarriedImageIsInvisibleOnEveryRunPath)
+{
+    // The Scheduler hands each lane the plan's image (JobSpec::compiled)
+    // instead of hashing the program again.  For every kernel, a plan
+    // with its image, the same plan with the image cleared (the lane
+    // looks it up in the shared cache) and a lone run_job_on lane must
+    // agree on the full record, on a serial and an 8-thread Scheduler.
+    // Plans resolved under one backend must also run unchanged under
+    // the other: a legacy plan carries no image, and a legacy lane
+    // drops a threaded plan's image.
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Legacy);
+    const auto legacy_made = kernel_plans();
+    set_sim_backend(SimBackend::Threaded);
+    const auto plans = kernel_plans();
+    ASSERT_EQ(plans.size(), legacy_made.size());
+    constexpr std::size_t kCopies = 4;
+    constexpr std::uint64_t kNoCap = ~std::uint64_t{0};
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        const auto &[name, plan] = plans[k];
+        SCOPED_TRACE(name);
+        ASSERT_NE(plan.compiled, nullptr);
+        const auto lone = run_backend(plan, SimBackend::Threaded);
+        EXPECT_EQ(lone.status, LaneStatus::Done);
+
+        runtime::JobPlan bare = plan;
+        bare.compiled = nullptr;
+        for (const unsigned threads : {1u, 8u}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            const auto carried =
+                run_scheduled(plan, kNoCap, threads, kCopies);
+            const auto looked_up =
+                run_scheduled(bare, kNoCap, threads, kCopies);
+            ASSERT_EQ(carried.size(), kCopies);
+            ASSERT_EQ(looked_up.size(), kCopies);
+            for (std::size_t i = 0; i < kCopies; ++i) {
+                SCOPED_TRACE(i);
+                expect_identical(lone, carried[i]);
+                expect_identical(lone, looked_up[i]);
+            }
+        }
+
+        const runtime::JobPlan &legacy = legacy_made[k].second;
+        ASSERT_EQ(legacy_made[k].first, name);
+        EXPECT_EQ(legacy.compiled, nullptr);
+        ASSERT_EQ(program_fingerprint(*legacy.program),
+                  program_fingerprint(*plan.program));
+        expect_identical(lone, run_backend(legacy, SimBackend::Threaded));
+        expect_identical(lone, run_scheduled(legacy, kNoCap, 1, 1).at(0));
+        set_sim_backend(SimBackend::Legacy);
+        expect_identical(lone, run_scheduled(plan, kNoCap, 1, 1).at(0));
+        set_sim_backend(SimBackend::Threaded);
+    }
 }
 
 TEST(ThreadedCode, WavesAndLanesShareOneCompiledImage)
