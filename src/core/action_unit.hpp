@@ -400,7 +400,7 @@ Lane::exec_op(Opcode op, const A &a, Acc &acc)
                 tracer_->record(id_, TraceEventKind::Accept, stats_.cycles,
                                 imm, 0);
         }
-        if (accepts_.size() < accept_capacity_)
+        if (accepts_.size() < kAcceptCapacity)
             accepts_.push_back({sb_.pos_bits(), imm});
         break;
       case Opcode::Halt: return OpExit::Done;

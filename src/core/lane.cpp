@@ -24,6 +24,8 @@ Lane::Lane(unsigned id, LocalMemory &mem) : id_(id), mem_(mem)
         throw UdpError("Lane: lane id out of range");
 }
 
+Lane::~Lane() = default;
+
 void
 Lane::load(const Program &prog)
 {
@@ -44,6 +46,8 @@ Lane::load(const Program &prog,
                        "program)");
     prog_ = &prog;
     compiled_ = std::move(compiled);
+    if (nfa_memo_ && nfa_memo_->image() != compiled_.get())
+        nfa_memo_.reset();
     reset();
 }
 
@@ -91,6 +95,7 @@ Lane::reset()
     out_bit_count_ = 0;
     accepts_.clear();
     cur_state_ = 0;
+    last_symbol_ = 0;
     resume_cs_ = ThreadedEngine::kNoResume;
     started_ = false;
     halted_ = false;
@@ -512,11 +517,23 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
     std::vector<std::size_t> next;
     std::vector<std::uint32_t> stamp(prog_->dispatch.size(), 0);
     std::uint32_t generation = 0;
+    // Mark `b` active in this generation; false when it already is.  An
+    // address past the image names no state: fault before the
+    // activation charges anything.
+    const auto claim = [&](std::size_t b) {
+        if (b >= stamp.size())
+            throw UdpFaultError(FaultCode::BadDispatch,
+                                "Lane: NFA activation of unknown state");
+        if (stamp[b] == generation)
+            return false;
+        stamp[b] = generation;
+        return true;
+    };
 
     auto close = [&](std::vector<std::size_t> &set) {
         ++generation;
         for (auto b : set)
-            stamp[b] = generation;
+            claim(b);
         for (std::size_t i = 0; i < set.size(); ++i) {
             const StateMeta *meta = prog_->find_state(set[i]);
             if (!meta)
@@ -530,8 +547,7 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
                     decode_transition(prog_->dispatch[base - k]);
                 const std::size_t tgt = dispatch_base_ + t.target;
                 if (t.signature == sig &&
-                    t.type == TransitionType::Epsilon &&
-                    stamp[tgt] != generation) {
+                    t.type == TransitionType::Epsilon && claim(tgt)) {
                     // Epsilon activation costs one dispatch cycle.
                     ++stats_.cycles;
                     ++stats_.dispatches;
@@ -543,7 +559,6 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
                     if (profiler_)
                         profiler_->record_state(
                             static_cast<std::uint32_t>(tgt), 1, 0, 0);
-                    stamp[tgt] = generation;
                     set.push_back(tgt);
                     std::size_t act;
                     if (attach_addr(t, act))
@@ -622,8 +637,7 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
             }
             if (have) {
                 const std::size_t tgt = dispatch_base_ + taken.target;
-                if (stamp[tgt] != generation) {
-                    stamp[tgt] = generation;
+                if (claim(tgt)) {
                     next.push_back(tgt);
                     // Activation happens once per step; arc actions fire
                     // with the first arc that activates the target.

@@ -17,7 +17,9 @@
  *     kernels), in resumable chunks of `run_steps()`;
  *   - `run_nfa()`: a set of active states advanced per input symbol with
  *     epsilon activation (UAP-style NFA execution); cycle cost scales with
- *     the number of dispatches, as on the real hardware.
+ *     the number of dispatches, as on the real hardware.  Host cost on
+ *     the threaded tier does not: the lane's NfaMemo replays a seen
+ *     (active set, symbol) step from one table entry.
  *
  * Host-side interpretation runs on one of two tiers (docs/PERFORMANCE.md):
  *   - the threaded tier (the default): a `CompiledProgram` shared by all
@@ -46,6 +48,7 @@ namespace udp {
 class Tracer;          // trace.hpp
 class Profiler;        // profile.hpp
 class CompiledProgram; // threaded_program.hpp
+class NfaMemo;         // threaded_program.hpp
 class ThreadedEngine;  // threaded_program.hpp
 
 /// Terminal status of a lane run.
@@ -85,6 +88,7 @@ class Lane
      * @param mem   shared local memory (may outlive many runs)
      */
     Lane(unsigned id, LocalMemory &mem);
+    ~Lane();
 
     /// Bind the program (kept by reference; caller owns it).  Under the
     /// Threaded backend (see sim_backend()) the lane also binds the
@@ -97,7 +101,8 @@ class Lane
     /// the cached image); it is dropped unless the Threaded backend is
     /// active.  Throws UdpError, leaving the lane as it was, when
     /// `compiled` was built from a program of another shape
-    /// (CompiledProgram::shape_matches).
+    /// (CompiledProgram::shape_matches).  Binding another image than
+    /// the one the lane's NfaMemo was recorded on frees the memo.
     void load(const Program &prog,
               std::shared_ptr<const CompiledProgram> compiled);
 
@@ -111,9 +116,6 @@ class Lane
     /// Window base register for restricted addressing (byte address).
     void set_window_base(ByteAddr base) { window_base_ = base; }
     ByteAddr window_base() const { return window_base_; }
-
-    /// Dispatch-window word base (programs larger than 4096 words).
-    void set_dispatch_base(std::size_t words) { dispatch_base_ = words; }
 
     /// Scalar register access (r15 reads give the stream byte index).
     Word reg(unsigned idx) const;
@@ -129,7 +131,14 @@ class Lane
     LaneStatus run_steps(std::uint64_t n);
 
     /// Execute in NFA mode (multi-state activation via epsilon).
+    /// Simulated cost scales with the active set; on the threaded tier
+    /// host cost does not, once the lane's NfaMemo has recorded the
+    /// (set, symbol) steps the input takes.
     LaneStatus run_nfa(std::uint64_t max_cycles = ~std::uint64_t{0});
+
+    /// The lane's NFA transition memo (null until a threaded NFA run on
+    /// an image it can key; read-only, for tests and diagnostics).
+    const NfaMemo *nfa_memo() const { return nfa_memo_.get(); }
 
     const LaneStats &stats() const { return stats_; }
     const Bytes &output() const { return output_; }
@@ -151,7 +160,6 @@ class Lane
      * injection only — no hardware analogue.  Cleared by hard_reset().
      */
     void set_forced_trap(Cycles at) { trap_cycle_ = at; }
-    Cycles forced_trap_cycle() const { return trap_cycle_; }
 
     /// Record a watchdog fault and halt the lane (the machine's lockstep
     /// harness calls this when its round budget expires with the lane
@@ -164,9 +172,6 @@ class Lane
     const std::vector<AcceptEvent> &accepts() const { return accepts_; }
     std::uint64_t accept_count() const { return stats_.accepts; }
 
-    /// Cap on stored AcceptEvents (counts keep accumulating past it).
-    void set_accept_capacity(std::size_t n) { accept_capacity_ = n; }
-
     /// Reset registers, stats, output and stream position.
     void reset();
 
@@ -175,7 +180,7 @@ class Lane
     /// so a reassigned lane cannot observe any state from the previous
     /// wave, and an idle one keeps no pointer to a program its owner may
     /// have freed; load() again before running.  Run configuration
-    /// (tracer, profiler, arbiter, accept capacity) survives.
+    /// (tracer, profiler, arbiter) and the NfaMemo survive.
     void hard_reset();
 
     /// Hook invoked for each memory reference: (bank, is_write) -> stalls.
@@ -286,7 +291,8 @@ class Lane
     Word out_bit_acc_ = 0;     ///< pending sub-byte output bits
     unsigned out_bit_count_ = 0;
     std::vector<AcceptEvent> accepts_;
-    std::size_t accept_capacity_ = 1 << 16;
+    /// Cap on stored AcceptEvents (counts keep accumulating past it).
+    static constexpr std::size_t kAcceptCapacity = std::size_t{1} << 16;
     ArbiterHook arbiter_;
     Tracer *tracer_ = nullptr;     ///< event sink; off when null
     Profiler *profiler_ = nullptr; ///< aggregation sink; off when null
@@ -296,6 +302,8 @@ class Lane
     LaneStatus halt_status_ = LaneStatus::Done;
     LaneFault fault_;             ///< last trap record (None = healthy)
     Cycles trap_cycle_ = 0;       ///< forced-trap cycle (0 = disarmed)
+    /// Threaded NFA mode's transition memo (threaded_program.hpp).
+    std::unique_ptr<NfaMemo> nfa_memo_;
 };
 
 } // namespace udp

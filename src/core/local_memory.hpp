@@ -48,7 +48,6 @@ class LocalMemory
     explicit LocalMemory(AddressingMode mode = AddressingMode::Restricted);
 
     AddressingMode mode() const { return mode_; }
-    void set_mode(AddressingMode m) { mode_ = m; }
 
     /// Raw backing store (tests, DMA-style staging by the host).
     Bytes &raw() { return mem_; }

@@ -2,9 +2,10 @@
  * @file
  * The full 64-lane UDP machine (paper Figure 3a) and its run harness.
  *
- * A `Machine` owns the shared local memory, the vector register file and
- * 64 lanes.  Work is described by a `JobSpec` per lane (program, input
- * view, memory window, initial registers).  Two run modes:
+ * A `Machine` owns the shared local memory and 64 lanes.  Work is
+ * described by a `JobSpec` per lane (program, input view, memory
+ * window, initial registers).  Vector registers are not modelled (see
+ * DESIGN.md).  Two run modes:
  *
  *  - `run_parallel()` — each lane runs to completion independently.  This
  *    is exact for the paper's data-parallel kernels, whose lanes touch
@@ -21,7 +22,6 @@
 #include "local_memory.hpp"
 #include "program.hpp"
 #include "stats.hpp"
-#include "vector_regfile.hpp"
 
 #include <memory>
 #include <optional>
@@ -109,9 +109,7 @@ class Machine
 
     LocalMemory &memory() { return mem_; }
     const LocalMemory &memory() const { return mem_; }
-    VectorRegFile &vregs() { return vregs_; }
     Lane &lane(unsigned idx);
-    const UdpCostModel &cost_model() const { return cost_; }
 
     /// Stage bytes into local memory at a physical byte address (host /
     /// DLT-engine side, not charged to lane cycles).
@@ -186,13 +184,11 @@ class Machine
     /// Purely observational: simulated results are bit-identical with
     /// and without one attached.
     void set_run_observer(RunObserver *o) { run_observer_ = o; }
-    RunObserver *run_observer() const { return run_observer_; }
 
   private:
     MachineResult collect(Cycles wall);
 
     LocalMemory mem_;
-    VectorRegFile vregs_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::vector<JobSpec> jobs_;
     UdpCostModel cost_;

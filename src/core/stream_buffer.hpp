@@ -28,9 +28,6 @@ class StreamBuffer
     /// the caller keeps it alive while the lane runs.
     void attach(BytesView data);
 
-    /// Total length in bits.
-    std::uint64_t size_bits() const { return size_bits_; }
-
     /// Current cursor, in bits from the start.
     std::uint64_t pos_bits() const { return pos_bits_; }
 

@@ -458,134 +458,355 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
     return out;
 }
 
+// ---------------------------------------------------------------------------
+// NFA mode: the walk, and the per-lane memo in front of it.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Mark full address `b` active in generation `gen`; false when it
+/// already is.  An address past the image names no state: it faults
+/// before the activation charges anything, as on the reference walk.
+bool
+claim(NfaWalk &w, std::size_t b, std::uint32_t gen)
+{
+    if (b >= w.stamp.size())
+        throw UdpFaultError(FaultCode::BadDispatch,
+                            "Lane: NFA activation of unknown state");
+    if (w.stamp[b] == gen)
+        return false;
+    w.stamp[b] = gen;
+    return true;
+}
+
+} // namespace
+
+void
+ThreadedEngine::fire_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
+{
+    // Flushed at once, so the watchdog and trap checks read the live
+    // cycle count; the fault record reads stats_.cycles on a throw.
+    try {
+        exec_chain(ln, c, ix);
+    } catch (...) {
+        flush(ln, c);
+        throw;
+    }
+    flush(ln, c);
+}
+
+void
+ThreadedEngine::nfa_fire(Lane &ln, ThreadedCtx &c, const Transition &t,
+                         NfaMemo *rec)
+{
+    // The result of the chain is ignored in NFA mode.
+    std::size_t act;
+    if (!ln.attach_addr(t, act))
+        return;
+    const std::uint32_t ix =
+        act < c.nops ? static_cast<std::uint32_t>(act) : c.sentinel;
+    if (rec)
+        rec->record_fire(ln.stats_, ix);
+    fire_chain(ln, c, ix);
+    if (rec)
+        rec->resume(ln.stats_);
+}
+
+void
+ThreadedEngine::nfa_close(Lane &ln, ThreadedCtx &c, NfaWalk &w,
+                          std::vector<std::size_t> &set, NfaMemo *rec)
+{
+    // Epsilon closure on activation, in deterministic frontier order.
+    const DecodedProgram &dec = ln.compiled_->decoded();
+    LaneStats &st = ln.stats_;
+    const std::uint32_t gen = w.bump();
+    for (auto b : set)
+        claim(w, b, gen);
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        const DecodedState *ds = dec.state_at(set[i]);
+        if (!ds)
+            throw UdpFaultError(FaultCode::BadDispatch,
+                                "Lane: NFA activation of unknown state");
+        for (const Transition *t = dec.eps_begin(*ds), *e = dec.eps_end(*ds);
+             t != e; ++t) {
+            const std::size_t tgt = ln.dispatch_base_ + t->target;
+            if (!claim(w, tgt, gen))
+                continue;
+            // Epsilon activation costs one dispatch cycle.
+            ++st.cycles;
+            ++st.dispatches;
+            ++st.dispatch_reads;
+            set.push_back(tgt);
+            nfa_fire(ln, c, *t, rec);
+        }
+    }
+}
+
+void
+ThreadedEngine::nfa_step(Lane &ln, ThreadedCtx &c, NfaWalk &w, Word sym,
+                         NfaMemo *rec)
+{
+    const DecodedProgram &dec = ln.compiled_->decoded();
+    LaneStats &st = ln.stats_;
+    w.next.clear();
+    const std::uint32_t gen = w.bump();
+    for (const auto cur : w.active) {
+        const DecodedState *ds = dec.state_at(cur);
+        if (!ds)
+            throw UdpFaultError(FaultCode::BadDispatch,
+                                "Lane: NFA dispatch into unknown state");
+
+        ++st.dispatches;
+        ++st.cycles;
+
+        const Transition *taken = nullptr;
+        const std::size_t slot = std::size_t{ds->base} + sym;
+        if (slot < dec.dispatch_words() && sym <= ds->max_symbol) {
+            ++st.dispatch_reads;
+            const Transition &t = dec.transition(slot);
+            if (t.type == kInvalidTransitionType)
+                decode_transition(ln.prog_->dispatch[slot]); // throws
+            if (t.signature == ds->signature &&
+                (t.type == TransitionType::Labeled ||
+                 t.type == TransitionType::Refill))
+                taken = &t;
+        }
+        if (!taken) {
+            ++st.sig_misses;
+            ++st.cycles;
+            st.dispatch_reads += ds->miss_nfa_reads;
+            if (ds->has_miss_nfa)
+                taken = &ds->miss_nfa;
+        }
+        // No arc: this activation dies after its charges.
+        if (!taken)
+            continue;
+        const std::size_t tgt = ln.dispatch_base_ + taken->target;
+        if (claim(w, tgt, gen)) {
+            w.next.push_back(tgt);
+            // Activation happens once per step; arc actions fire with
+            // the first arc that activates the target.
+            nfa_fire(ln, c, *taken, rec);
+        }
+    }
+    nfa_close(ln, c, w, w.next, rec);
+    w.active.swap(w.next);
+}
+
+NfaMemo *
+ThreadedEngine::nfa_memo(Lane &ln, unsigned width)
+{
+    // The memo's key must cover everything the walk reads besides the
+    // set and the symbol: the image, the entry, and windows no action
+    // of this image can move.  Symbols index 256-wide rows.
+    const CompiledProgram &cp = *ln.compiled_;
+    if (cp.dyn_dispatch() || cp.dyn_action() || width > 8)
+        return nullptr;
+    if (!ln.nfa_memo_)
+        ln.nfa_memo_ = std::make_unique<NfaMemo>();
+    NfaMemo &m = *ln.nfa_memo_;
+    if (m.image_ != ln.compiled_ || m.entry_ != ln.prog_->entry ||
+        m.dispatch_base_ != ln.dispatch_base_ ||
+        m.action_base_ != ln.action_base_ ||
+        m.action_scale_ != ln.action_scale_) {
+        m.drop();
+        m.image_ = ln.compiled_;
+        m.entry_ = ln.prog_->entry;
+        m.dispatch_base_ = ln.dispatch_base_;
+        m.action_base_ = ln.action_base_;
+        m.action_scale_ = ln.action_scale_;
+        m.walk_.stamp.assign(cp.decoded().dispatch_words(), 0);
+        m.walk_.generation = 0;
+    }
+    return &m;
+}
+
+std::uint32_t
+ThreadedEngine::nfa_replay(Lane &ln, ThreadedCtx &c, const NfaMemo &m,
+                           std::uint32_t step)
+{
+    LaneStats &st = ln.stats_;
+    const auto charge = [&st](const NfaMemo::Charge &ch) {
+        st.dispatches += ch.dispatches;
+        st.cycles += ch.cycles;
+        st.dispatch_reads += ch.dispatch_reads;
+        st.sig_misses += ch.sig_misses;
+    };
+    const NfaMemo::Step &s = m.steps_[step];
+    for (std::uint32_t i = s.fires_begin; i < s.fires_end; ++i) {
+        charge(m.fires_[i].before);
+        fire_chain(ln, c, m.fires_[i].chain);
+    }
+    charge(s.tail);
+    return s.to;
+}
+
+std::uint32_t
+ThreadedEngine::nfa_record(Lane &ln, ThreadedCtx &c, NfaMemo &m,
+                           std::uint32_t from, Word sym)
+{
+    NfaWalk &w = m.walk_;
+    m.begin_record(ln.stats_);
+    if (from == NfaMemo::kStart) {
+        w.active.assign(1, ln.prog_->entry);
+        nfa_close(ln, c, w, w.active, &m);
+    } else {
+        const NfaMemo::SetRef r = m.sets_[from];
+        w.active.assign(m.pool_.begin() + r.begin,
+                        m.pool_.begin() + r.begin + r.size);
+        nfa_step(ln, c, w, sym, &m);
+    }
+    return m.commit(from, sym, w.active, ln.stats_);
+}
+
 LaneStatus
 ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
 {
     const CompiledProgram &cp = *ln.compiled_;
-    const DecodedProgram &dec = cp.decoded();
     LaneStats &st = ln.stats_;
     ThreadedCtx c;
     c.ops = cp.ops();
     c.nops = cp.op_count();
     c.sentinel = cp.sentinel();
-
-    // Arc actions run on the compiled op stream; their charges are
-    // flushed at once, so the watchdog and trap checks below read the
-    // live cycle count.  The result of the chain is ignored in NFA mode.
-    const auto fire = [&](const Transition &t) {
-        std::size_t act;
-        if (!ln.attach_addr(t, act))
-            return;
-        try {
-            exec_chain(ln, c,
-                       act < c.nops ? static_cast<std::uint32_t>(act)
-                                    : c.sentinel);
-        } catch (...) {
-            flush(ln, c); // the fault record reads stats_.cycles
-            throw;
-        }
-        flush(ln, c);
-    };
-
-    // Active-state set with epsilon closure on activation. Frontier order
-    // is deterministic; duplicates are suppressed with a stamp array.
-    // Active entries are full word addresses.
-    std::vector<std::size_t> active{ln.prog_->entry};
-    std::vector<std::size_t> next;
-    std::vector<std::uint32_t> stamp(dec.dispatch_words(), 0);
-    std::uint32_t generation = 0;
-
-    auto close = [&](std::vector<std::size_t> &set) {
-        ++generation;
-        for (auto b : set)
-            stamp[b] = generation;
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            const DecodedState *ds = dec.state_at(set[i]);
-            if (!ds)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: NFA activation of unknown state");
-            for (const Transition *t = dec.eps_begin(*ds),
-                                  *e = dec.eps_end(*ds);
-                 t != e; ++t) {
-                const std::size_t tgt = ln.dispatch_base_ + t->target;
-                if (stamp[tgt] == generation)
-                    continue;
-                // Epsilon activation costs one dispatch cycle.
-                ++st.cycles;
-                ++st.dispatches;
-                ++st.dispatch_reads;
-                stamp[tgt] = generation;
-                set.push_back(tgt);
-                fire(*t);
-            }
-        }
-    };
-
-    close(active);
     const unsigned width = ln.symbol_bits_;
 
-    while (!active.empty() && st.cycles < max_cycles) {
+    // Memo path: the active set is an interned id; a miss records the
+    // step with the plain walk.  Plain path: the walk, every symbol.
+    NfaMemo *memo = nfa_memo(ln, width);
+    NfaWalk plain;
+    std::uint32_t set = 0;
+    if (memo) {
+        set = memo->start_ ? nfa_replay(ln, c, *memo, memo->start_ - 1)
+                           : nfa_record(ln, c, *memo, NfaMemo::kStart, 0);
+    } else {
+        plain.active.assign(1, ln.prog_->entry);
+        plain.stamp.assign(cp.decoded().dispatch_words(), 0);
+        nfa_close(ln, c, plain, plain.active, nullptr);
+    }
+    const auto live = [&] {
+        return memo ? memo->sets_[set].size != 0 : !plain.active.empty();
+    };
+
+    while (live() && st.cycles < max_cycles) {
         if (ln.trap_cycle_ != 0 && st.cycles >= ln.trap_cycle_)
             return ln.trap(FaultCode::ForcedTrap,
                            "Lane: forced trap (fault injection)");
         if (ln.sb_.exhausted(width))
             return LaneStatus::Done;
-        const Word sym = ln.fetch_symbol_bits(width);
-
-        next.clear();
-        ++generation;
-        for (const auto cur : active) {
-            const DecodedState *ds = dec.state_at(cur);
-            if (!ds)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: NFA dispatch into unknown state");
-
-            ++st.dispatches;
-            ++st.cycles;
-
-            const Transition *taken = nullptr;
-            const std::size_t slot = std::size_t{ds->base} + sym;
-            if (slot < dec.dispatch_words() && sym <= ds->max_symbol) {
-                ++st.dispatch_reads;
-                const Transition &t = dec.transition(slot);
-                if (t.type == kInvalidTransitionType)
-                    decode_transition(ln.prog_->dispatch[slot]); // throws
-                if (t.signature == ds->signature &&
-                    (t.type == TransitionType::Labeled ||
-                     t.type == TransitionType::Refill))
-                    taken = &t;
-            }
-            if (!taken) {
-                ++st.sig_misses;
-                ++st.cycles;
-                st.dispatch_reads += ds->miss_nfa_reads;
-                if (ds->has_miss_nfa)
-                    taken = &ds->miss_nfa;
-            }
-            // No arc: this activation dies after its charges.
-            if (!taken)
-                continue;
-            const std::size_t tgt = ln.dispatch_base_ + taken->target;
-            if (stamp[tgt] != generation) {
-                stamp[tgt] = generation;
-                next.push_back(tgt);
-                // Activation happens once per step; arc actions fire
-                // with the first arc that activates the target.
-                fire(*taken);
-            }
+        st.stream_bits += width;
+        const Word sym = ln.last_symbol_ = read_sym(ln.sb_, width);
+        if (!memo) {
+            nfa_step(ln, c, plain, sym, nullptr);
+            continue;
         }
-        close(next);
-        active.swap(next);
+        const std::uint32_t hit = memo->row_[std::size_t{set} * 256 + sym];
+        set = hit ? nfa_replay(ln, c, *memo, hit - 1)
+                  : nfa_record(ln, c, *memo, set, sym);
     }
-    if (active.empty())
+    if (!live())
         return LaneStatus::Reject;
     // Loop exit with live activations means the watchdog fired, not a
     // clean end of stream.
     return ln.trip_watchdog("Lane: NFA cycle budget (" +
                             std::to_string(max_cycles) +
                             ") exhausted before completion");
+}
+
+// ---------------------------------------------------------------------------
+// NfaMemo bookkeeping.
+// ---------------------------------------------------------------------------
+
+void
+NfaMemo::drop()
+{
+    pool_.clear();
+    sets_.clear();
+    index_.assign(2 * kMaxSets, 0);
+    row_.clear();
+    steps_.clear();
+    fires_.clear();
+    start_ = 0;
+}
+
+NfaMemo::Charge
+NfaMemo::since(const LaneStats &st) const
+{
+    Charge ch;
+    ch.dispatches = static_cast<std::uint32_t>(st.dispatches -
+                                               snap_.dispatches);
+    ch.cycles = static_cast<std::uint32_t>(st.cycles - snap_.cycles);
+    ch.dispatch_reads = static_cast<std::uint32_t>(st.dispatch_reads -
+                                                   snap_.dispatch_reads);
+    ch.sig_misses = static_cast<std::uint32_t>(st.sig_misses -
+                                               snap_.sig_misses);
+    return ch;
+}
+
+void
+NfaMemo::begin_record(const LaneStats &st)
+{
+    fires_.resize(steps_.empty() ? 0 : steps_.back().fires_end);
+    snap_ = st;
+}
+
+bool
+NfaMemo::find(const std::vector<std::size_t> &set, std::size_t &slot,
+              std::uint32_t &id) const
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const std::size_t b : set)
+        h = (h ^ b) * 0x100000001B3ull;
+    const std::size_t mask = index_.size() - 1;
+    for (slot = (h ^ (h >> 32)) & mask;; slot = (slot + 1) & mask) {
+        if (index_[slot] == 0)
+            return false; // not interned; `slot` is free
+        id = index_[slot] - 1;
+        const SetRef r = sets_[id];
+        if (r.size == set.size() &&
+            std::equal(set.begin(), set.end(), pool_.begin() + r.begin))
+            return true;
+    }
+}
+
+std::uint32_t
+NfaMemo::commit(std::uint32_t from, Word sym,
+                const std::vector<std::size_t> &set, const LaneStats &st)
+{
+    Step s;
+    s.fires_begin = steps_.empty() ? 0 : steps_.back().fires_end;
+    s.fires_end = static_cast<std::uint32_t>(fires_.size());
+    s.tail = since(st);
+
+    std::size_t slot;
+    bool known = find(set, slot, s.to);
+    // Past a bound: forget everything, this step included, and start
+    // over from `set`.
+    const bool full =
+        fires_.size() > kMaxFires ||
+        (!known && (sets_.size() == kMaxSets ||
+                    pool_.size() + set.size() > kMaxPool));
+    if (full) {
+        drop();
+        ++drops_;
+        known = find(set, slot, s.to);
+    }
+    if (!known) {
+        s.to = static_cast<std::uint32_t>(sets_.size());
+        sets_.push_back({static_cast<std::uint32_t>(pool_.size()),
+                         static_cast<std::uint32_t>(set.size())});
+        pool_.insert(pool_.end(), set.begin(), set.end());
+        index_[slot] = s.to + 1;
+        row_.resize(row_.size() + 256, 0);
+    }
+    if (!full) {
+        steps_.push_back(s);
+        const auto ix = static_cast<std::uint32_t>(steps_.size());
+        if (from == kStart)
+            start_ = ix;
+        else
+            row_[std::size_t{from} * 256 + sym] = ix;
+    }
+    return s.to;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@
  * `ThreadedEngine` interprets the compiled image for one lane at a
  * time: resumably in DFA mode (the lane carries the compiled index of
  * its next state between `Lane::run_steps` calls) and in NFA mode, over
- * the per-state epsilon and fallback chains of the DecodedProgram IR.
- * Every run entry — `Lane::run`, `run_steps`, `run_nfa`, and through
- * them `Machine::run_parallel` and `run_lockstep` — reaches it the same
- * way.
+ * the per-state epsilon and fallback chains of the DecodedProgram IR,
+ * with a per-lane `NfaMemo` of active-set transitions in front of that
+ * walk.  Every run entry — `Lane::run`, `run_steps`, `run_nfa`, and
+ * through them `Machine::run_parallel` and `run_lockstep` — reaches it
+ * the same way.
  *
  * This tier is purely host-performance: simulated counters, outputs,
  * accepts, faults and trap cycles are bit-identical to the reference
@@ -43,6 +44,7 @@
 #include "decoded_program.hpp"
 #include "lane.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -209,6 +211,133 @@ std::shared_ptr<const CompiledProgram> shared_compiled(const Program &prog);
 /// when backends diverge.
 std::string disassemble_compiled(const CompiledProgram &cp);
 
+/// The threaded NFA walk's working state: the active set, the frontier
+/// being built, and the generation stamps that suppress duplicate
+/// activations (indexed by full dispatch word address).
+struct NfaWalk {
+    std::vector<std::size_t> active;
+    std::vector<std::size_t> next;
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t generation = 0;
+
+    /// A fresh generation; clears the stamps when the counter wraps.
+    std::uint32_t bump() {
+        if (++generation == 0) {
+            std::fill(stamp.begin(), stamp.end(), 0);
+            generation = 1;
+        }
+        return generation;
+    }
+};
+
+/**
+ * Per-lane memo of NFA active-set transitions (ThreadedEngine::run_nfa).
+ *
+ * When no action moves the dispatch or action window (no Setbase with
+ * dst != 0, no Setab) and symbols are at most 8 bits wide, what the NFA
+ * walk does on one symbol depends only on the post-closure active set
+ * and the symbol: which states it dispatches, which arcs it takes, which
+ * action chains it fires and in what order, and what it charges.  The
+ * actions themselves may depend on anything, so they always run live.
+ * The memo interns each active set once and caches (set, symbol) ->
+ * next set, with the walk's charges split at every chain it fires.  A
+ * hit replays the step as "charges, chain, charges, chain, ..., tail
+ * charges", the order the walk makes them in, so accepts, fault records
+ * (cycle included), the watchdog and forced-trap checks all read the
+ * counters the walk would have left.  A miss runs the walk itself and
+ * records it.
+ *
+ * A memo belongs to one lane, so concurrently simulated lanes share
+ * nothing.  It holds its image (a freed image's address cannot alias a
+ * new one) and is keyed on it, the entry state and the dispatch and
+ * action windows it was recorded under.  It survives
+ * Machine::assign/hard_reset, is freed when the lane loads another
+ * image, and forgets everything once it passes kMaxSets sets (or its
+ * chain and set pools pass their caps).
+ */
+class NfaMemo
+{
+  public:
+    /// Interned sets kept before the memo drops them all.
+    static constexpr std::size_t kMaxSets = 256;
+
+    std::size_t sets() const { return sets_.size(); }
+    /// Cached (set, symbol) transitions, the initial closure included.
+    std::size_t steps() const { return steps_.size(); }
+    /// Times the memo passed a bound and started over.
+    std::size_t drops() const { return drops_; }
+    const CompiledProgram *image() const { return image_.get(); }
+
+  private:
+    friend class ThreadedEngine;
+
+    static constexpr std::uint32_t kStart = ~std::uint32_t{0};
+    static constexpr std::size_t kMaxFires = std::size_t{1} << 16;
+    static constexpr std::size_t kMaxPool = std::size_t{1} << 16;
+
+    /// Walk charges made between two chain firings of one step.
+    struct Charge {
+        std::uint32_t dispatches = 0;
+        std::uint32_t cycles = 0;
+        std::uint32_t dispatch_reads = 0;
+        std::uint32_t sig_misses = 0;
+    };
+    struct Fire {
+        Charge before;       ///< walk charges since the previous chain
+        std::uint32_t chain; ///< ops index (sentinel-clamped)
+    };
+    struct Step {
+        std::uint32_t to = 0; ///< interned next set
+        std::uint32_t fires_begin = 0, fires_end = 0;
+        Charge tail;          ///< walk charges after the last chain
+    };
+    struct SetRef {
+        std::uint32_t begin = 0, size = 0; ///< into pool_
+    };
+
+    /// Forget every set and step (the key and the scratch stay).
+    void drop();
+    /// Start recording a step: forget an aborted recording's fires and
+    /// snapshot the walk counters.
+    void begin_record(const LaneStats &st);
+    /// The walk fires `chain` now: record its charges since the last
+    /// snapshot (the snapshot moves past the chain in resume()).
+    void record_fire(const LaneStats &st, std::uint32_t chain) {
+        fires_.push_back({since(st), chain});
+    }
+    void resume(const LaneStats &st) { snap_ = st; }
+    /// Intern `set` and cache the recorded step `from` --`sym`--> set
+    /// (`from` == kStart: the initial closure).  Returns the set's id;
+    /// a bound passed on the way drops the memo and leaves the step
+    /// uncached.
+    std::uint32_t commit(std::uint32_t from, Word sym,
+                         const std::vector<std::size_t> &set,
+                         const LaneStats &st);
+    /// The id of interned `set`; else false, with `slot` its free
+    /// index_ slot.
+    bool find(const std::vector<std::size_t> &set, std::size_t &slot,
+              std::uint32_t &id) const;
+    Charge since(const LaneStats &st) const;
+
+    // Key.
+    std::shared_ptr<const CompiledProgram> image_;
+    std::size_t entry_ = 0;
+    std::size_t dispatch_base_ = 0;
+    ByteAddr action_base_ = 0;
+    unsigned action_scale_ = 0;
+
+    std::vector<std::uint32_t> pool_; ///< interned sets' state addresses
+    std::vector<SetRef> sets_;
+    std::vector<std::uint32_t> index_; ///< open-addressed set id + 1
+    std::vector<std::uint32_t> row_;   ///< [set * 256 + sym] step + 1
+    std::vector<Step> steps_;
+    std::vector<Fire> fires_;
+    std::uint32_t start_ = 0; ///< initial closure's step + 1
+    std::size_t drops_ = 0;
+    LaneStats snap_;          ///< recorder: counters at the last cut
+    NfaWalk walk_;            ///< scratch, reused across runs
+};
+
 /**
  * The threaded-code interpreter.  A friend of Lane/StreamBuffer: it
  * *is* the lane's inner loop for the Threaded backend, entered from
@@ -229,8 +358,12 @@ class ThreadedEngine
     static LaneStatus run_steps_body(Lane &ln, std::uint64_t n);
 
     /// NFA mode to completion (or the `max_cycles` watchdog), charging
-    /// exactly what the reference run_nfa does.  Call inside
-    /// Lane::run_guarded.
+    /// exactly what the reference run_nfa does.  Simulated cost scales
+    /// with the active set, as on the hardware; host cost does not once
+    /// the lane's NfaMemo has seen a (set, symbol) pair — a hit costs
+    /// one table probe plus the actions it fires.  Images the memo
+    /// cannot key (NfaMemo) take the plain walk every symbol.  Call
+    /// inside Lane::run_guarded.
     static LaneStatus run_nfa(Lane &ln, std::uint64_t max_cycles);
 
     /// Handler lookup for the compiler (CompiledProgram's ctor).
@@ -250,6 +383,21 @@ class ThreadedEngine
                                  std::uint32_t ix);
     static void flush(Lane &ln, ThreadedCtx &c);
     static Word read_sym(StreamBuffer &sb, unsigned width);
+
+    // The NFA walk.  nfa_step is its one step function: the plain loop
+    // calls it with `rec` null, the memo's recorder with its memo.
+    static NfaMemo *nfa_memo(Lane &ln, unsigned width);
+    static void fire_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix);
+    static void nfa_fire(Lane &ln, ThreadedCtx &c, const Transition &t,
+                         NfaMemo *rec);
+    static void nfa_close(Lane &ln, ThreadedCtx &c, NfaWalk &w,
+                          std::vector<std::size_t> &set, NfaMemo *rec);
+    static void nfa_step(Lane &ln, ThreadedCtx &c, NfaWalk &w, Word sym,
+                         NfaMemo *rec);
+    static std::uint32_t nfa_replay(Lane &ln, ThreadedCtx &c,
+                                    const NfaMemo &m, std::uint32_t step);
+    static std::uint32_t nfa_record(Lane &ln, ThreadedCtx &c, NfaMemo &m,
+                                    std::uint32_t from, Word sym);
 };
 
 } // namespace udp
