@@ -17,15 +17,7 @@ StreamBuffer::attach(BytesView data)
 }
 
 Word
-StreamBuffer::read(unsigned width)
-{
-    const Word v = peek(width);
-    pos_bits_ += width;
-    return v;
-}
-
-Word
-StreamBuffer::peek(unsigned width) const
+StreamBuffer::gather(unsigned width) const
 {
     if (width == 0 || width > 32)
         throw UdpFaultError(FaultCode::BadAction,

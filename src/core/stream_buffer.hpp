@@ -44,10 +44,19 @@ class StreamBuffer
      * Consume `width` bits (1..32) and return them right-aligned.
      * Bits are taken MSB-first. Throws UdpError past end of stream.
      */
-    Word read(unsigned width);
+    Word read(unsigned width) {
+        const Word v = peek(width);
+        pos_bits_ += width;
+        return v;
+    }
 
-    /// Read without consuming.
-    Word peek(unsigned width) const;
+    /// Read without consuming.  A byte-aligned whole byte (the common
+    /// case) is one load; everything else gathers bits out of line.
+    Word peek(unsigned width) const {
+        if (width == 8 && (pos_bits_ & 7) == 0 && pos_bits_ < size_bits_)
+            return data_[static_cast<std::size_t>(pos_bits_ >> 3)];
+        return gather(width);
+    }
 
     /// Advance the cursor by `nbits` without delivering data.
     void skip(std::uint64_t nbits);
@@ -62,9 +71,14 @@ class StreamBuffer
     BytesView data() const { return data_; }
 
   private:
-    /// The threaded-code backend reads byte-aligned whole-byte symbols
-    /// directly (core/threaded_program.hpp) — same values as read(8).
+    /// The threaded-code backend steps runs of byte-aligned whole-byte
+    /// symbols straight from data_ (core/threaded_program.hpp) — the
+    /// same values read(8) returns.
     friend class ThreadedEngine;
+
+    /// peek() for unaligned or non-byte widths, and its faults.
+    Word gather(unsigned width) const;
+
     BytesView data_{};
     std::uint64_t size_bits_ = 0;
     std::uint64_t pos_bits_ = 0;

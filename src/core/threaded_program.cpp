@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -161,54 +162,114 @@ CompiledProgram::CompiledProgram(const Program &prog,
     s.last = 1;
     s.next = nops_;
 
-    // Pass 1: the base -> compiled-index map (bases are unique; the
-    // DecodedProgram constructor validated them).
+    // Pass 1: lay out the rows.  Each state's compiled index is its
+    // first 256-word row unit; the base -> index map makes next-state
+    // links resolvable (bases are unique; the DecodedProgram
+    // constructor validated them).
     slot_state_.assign(prog.dispatch.size(), -1);
-    for (std::size_t i = 0; i < prog.states.size(); ++i)
-        slot_state_[prog.states[i].base] = static_cast<std::int32_t>(i);
-
-    // Pass 2: per-state arc tables (forward next-state links resolve
-    // against the complete map).
-    states_.reserve(prog.states.size());
-    for (const StateMeta &sm : prog.states) {
-        const DecodedState &ds = *d.state_at(sm.base);
-        CompiledState cs;
+    std::vector<std::uint32_t> row_len(prog.states.size());
+    std::size_t units = 0;
+    for (std::size_t i = 0; i < prog.states.size(); ++i) {
+        const DecodedState &ds = *d.state_at(prog.states[i].base);
+        std::size_t len = std::size_t{ds.max_symbol} + 1;
+        if (!ds.reg_source)
+            len = std::max<std::size_t>(len, std::size_t{1} << kRowShift);
+        else if (ds.has_common)
+            len = 0; // common replaces the register probe: no row
+        row_len[i] = static_cast<std::uint32_t>(len);
+        slot_state_[ds.base] = static_cast<std::int32_t>(units);
+        units += std::max<std::size_t>(
+            1, (len + (std::size_t{1} << kRowShift) - 1) >> kRowShift);
+    }
+    if (units > static_cast<std::size_t>(
+                    std::numeric_limits<std::int32_t>::max()))
+        throw UdpError("CompiledProgram: too many dispatch rows");
+    states_.resize(units);
+    for (std::size_t i = 0; i < prog.states.size(); ++i) {
+        const DecodedState &ds = *d.state_at(prog.states[i].base);
+        CompiledState &cs = states_[static_cast<std::size_t>(
+            slot_state_[ds.base])];
         cs.base = ds.base;
-        cs.max_symbol = ds.max_symbol;
+        cs.row_len = row_len[i];
         cs.reg_source = ds.reg_source ? 1 : 0;
         cs.has_common = ds.has_common ? 1 : 0;
-        cs.miss_arc = resolve_miss(ds, 0);
-        cs.arc_base = static_cast<std::uint32_t>(arcs_.size());
+    }
+
+    // Pass 2: the rows (pack() reads the next states' reg_source).
+    words_.assign(units << kRowShift, 0);
+    for (const StateMeta &sm : prog.states) {
+        const DecodedState &ds = *d.state_at(sm.base);
+        const auto ix = static_cast<std::size_t>(slot_state_[ds.base]);
+        CompiledState &cs = states_[ix];
+        std::uint32_t *row = words_.data() + (ix << kRowShift);
         if (ds.has_common) {
-            // Common replaces the labeled table: one arc, and the step
-            // loop charges its single dispatch read explicitly.
-            cs.common_arc = resolve_take(ds.common, 0, 0);
-        } else {
-            for (std::uint32_t sym = 0; sym <= ds.max_symbol; ++sym) {
-                const std::size_t slot = std::size_t{ds.base} + sym;
+            // Common replaces the labeled table: every symbol takes it,
+            // charging its single dispatch read.
+            cs.over = pack(resolve_take(ds.common, 0, 1));
+            std::fill(row, row + cs.row_len, cs.over);
+            continue;
+        }
+        cs.over = pack(resolve_miss(ds, 0));
+        // A labeled slot that fails its check was read before the miss
+        // walk; one shared side entry covers all of them.
+        std::uint32_t probe_miss = 0;
+        for (std::uint32_t sym = 0; sym < cs.row_len; ++sym) {
+            const std::size_t slot = std::size_t{ds.base} + sym;
+            if (sym > ds.max_symbol || slot >= d.dispatch_words()) {
+                row[sym] = cs.over;
+                continue;
+            }
+            const Transition &t = d.transition(slot);
+            if (t.type == kInvalidTransitionType) {
                 ResolvedArc arc;
-                if (slot >= d.dispatch_words()) {
-                    arc = resolve_miss(ds, 0);
-                } else {
-                    const Transition &t = d.transition(slot);
-                    if (t.type == kInvalidTransitionType) {
-                        arc.kind = ResolvedArc::Invalid;
-                        arc.add_reads = 1; // charged before the re-decode
-                        arc.raw_slot = static_cast<std::uint32_t>(slot);
-                    } else if (t.signature == ds.signature &&
-                               (t.type == TransitionType::Labeled ||
-                                t.type == TransitionType::Refill ||
-                                t.type == TransitionType::Flagged)) {
-                        arc = resolve_take(t, 0, 1);
-                    } else {
-                        arc = resolve_miss(ds, 1);
-                    }
-                }
-                arcs_.push_back(arc);
+                arc.kind = ResolvedArc::Invalid;
+                arc.add_reads = 1; // charged before the re-decode
+                arc.raw_slot = static_cast<std::uint32_t>(slot);
+                row[sym] = pack(arc);
+            } else if (t.signature == ds.signature &&
+                       (t.type == TransitionType::Labeled ||
+                        t.type == TransitionType::Refill ||
+                        t.type == TransitionType::Flagged)) {
+                row[sym] = pack(resolve_take(t, 0, 1));
+            } else {
+                if (probe_miss == 0)
+                    probe_miss = pack(resolve_miss(ds, 1));
+                row[sym] = probe_miss;
             }
         }
-        states_.push_back(cs);
     }
+}
+
+std::uint32_t
+CompiledProgram::pack(const ResolvedArc &r)
+{
+    if (r.kind == ResolvedArc::Take && !r.has_act && r.refill_bits == 0 &&
+        r.next_state >= 0 &&
+        static_cast<std::uint32_t>(r.next_state) <= ArcWord::kMaxNext &&
+        !states_[static_cast<std::size_t>(r.next_state)].reg_source &&
+        r.add_reads <= ArcWord::kMaxReads)
+        return (static_cast<std::uint32_t>(r.next_state)
+                << ArcWord::kNextShift) |
+               (std::uint32_t{r.add_reads} << ArcWord::kReadsShift) |
+               (std::uint32_t{r.miss} << 1);
+    slow_arcs_.push_back(r);
+    return static_cast<std::uint32_t>(((slow_arcs_.size() - 1) << 1) |
+                                      ArcWord::kSlow);
+}
+
+ResolvedArc
+CompiledProgram::arc(std::uint32_t w) const
+{
+    if (ArcWord::slow(w))
+        return slow_arc(w);
+    ResolvedArc r;
+    r.kind = ResolvedArc::Take;
+    r.miss = static_cast<std::uint8_t>(ArcWord::miss(w));
+    r.add_reads = static_cast<std::uint16_t>(ArcWord::reads(w));
+    r.next_state = static_cast<std::int32_t>(ArcWord::next(w));
+    r.next_full = states_[ArcWord::next(w)].base;
+    r.target = r.next_full - init_dispatch_base_;
+    return r;
 }
 
 ResolvedArc
@@ -289,20 +350,6 @@ ThreadedEngine::flush(Lane &ln, ThreadedCtx &c)
     c.stream_bits = 0;
 }
 
-Word
-ThreadedEngine::read_sym(StreamBuffer &sb, unsigned width)
-{
-    // Byte-aligned whole-byte symbols (the overwhelmingly common case)
-    // skip the MSB-first bit-gather loop.  The caller already checked
-    // exhausted(width).
-    if (width == 8 && (sb.pos_bits_ & 7) == 0) {
-        const Word v = sb.data_[static_cast<std::size_t>(sb.pos_bits_ >> 3)];
-        sb.pos_bits_ += 8;
-        return v;
-    }
-    return sb.read(width);
-}
-
 LaneStatus
 ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
 {
@@ -330,6 +377,8 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
 {
     const CompiledProgram &cp = *ln.compiled_;
     const Program &prog = *ln.prog_;
+    const std::uint32_t *const words = cp.words();
+    StreamBuffer &sb = ln.sb_;
     ThreadedCtx c;
     c.ops = cp.ops();
     c.nops = cp.op_count();
@@ -348,7 +397,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
 
     LaneStatus out = LaneStatus::Running;
     try {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < n;) {
             if (ix < 0)
                 throw UdpFaultError(
                     FaultCode::BadDispatch,
@@ -356,74 +405,131 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
                         std::to_string(ln.cur_state_));
             const CompiledState &cs =
                 cp.state(static_cast<std::size_t>(ix));
-            const ResolvedArc *arc;
-            if (cs.has_common) {
-                if (!cs.reg_source) {
-                    const unsigned width = ln.symbol_bits_;
-                    if (ln.sb_.exhausted(width)) {
-                        out = LaneStatus::Done;
-                        ln.halted_ = true;
-                        ln.halt_status_ = out;
+            std::uint32_t w = 0;
+            if (static_next && !cs.reg_source && ln.symbol_bits_ == 8 &&
+                (sb.pos_bits_ & 7) == 0) {
+                // Byte run: step raw stream bytes through plain words,
+                // bounded by `n` and the stream.  A plain step runs no
+                // action, so its charges are order-free sums.
+                const std::uint8_t *const p =
+                    sb.data_.data() + (sb.pos_bits_ >> 3);
+                const std::uint64_t k =
+                    std::min(n - i, sb.remaining_bits() >> 3);
+                auto cur = static_cast<std::uint32_t>(ix);
+                std::uint64_t j = 0, misses = 0, reads = 0;
+                for (; j < k; ++j) {
+                    w = words[(std::size_t{cur} << CompiledProgram::kRowShift) +
+                              p[j]];
+                    if (ArcWord::slow(w))
                         break;
-                    }
-                    c.stream_bits += width;
-                    ln.last_symbol_ = read_sym(ln.sb_, width);
+                    misses += ArcWord::miss(w);
+                    reads += ArcWord::reads(w);
+                    cur = ArcWord::next(w);
                 }
-                ++c.dispatches;
-                ++c.cycles;
-                ++c.dispatch_reads;
-                arc = &cs.common_arc;
-            } else {
-                const unsigned width = ln.symbol_bits_;
-                Word sym;
-                if (cs.reg_source) {
-                    const Word mask = width >= 32
-                                          ? ~Word{0}
-                                          : ((Word{1} << width) - 1);
-                    sym = ln.regs_[kRegDispatch] & mask;
-                    ln.last_symbol_ = sym;
-                } else {
-                    if (ln.sb_.exhausted(width)) {
-                        out = LaneStatus::Done;
-                        ln.halted_ = true;
-                        ln.halt_status_ = out;
+                if (j != 0) {
+                    c.dispatches += j;
+                    c.cycles += j + misses;
+                    c.sig_misses += misses;
+                    c.dispatch_reads += reads;
+                    c.stream_bits += 8 * j;
+                    sb.pos_bits_ += 8 * j;
+                    ln.last_symbol_ = p[j - 1];
+                    ln.cur_state_ = cp.state(cur).base;
+                    ix = static_cast<std::int32_t>(cur);
+                    i += j;
+                }
+                if (j == k) {
+                    if (i == n)
                         break;
-                    }
-                    c.stream_bits += width;
-                    sym = ln.last_symbol_ = read_sym(ln.sb_, width);
-                }
-                ++c.dispatches;
-                ++c.cycles;
-                arc = sym <= cs.max_symbol
-                          ? cp.arcs() + (cs.arc_base + sym)
-                          : &cs.miss_arc;
-                c.cycles += arc->miss;
-                c.sig_misses += arc->miss;
-                c.dispatch_reads += arc->add_reads;
-                if (arc->kind != ResolvedArc::Take) {
-                    if (arc->kind == ResolvedArc::Invalid)
-                        decode_transition(
-                            prog.dispatch[arc->raw_slot]); // throws
-                    out = LaneStatus::Reject;
+                    out = LaneStatus::Done; // the stream ran out
                     ln.halted_ = true;
                     ln.halt_status_ = out;
                     break;
                 }
+                // p[j] dispatches through a slow word: consume it here
+                // and finish the step below.
+                c.stream_bits += 8;
+                sb.pos_bits_ += 8;
+                ln.last_symbol_ = p[j];
+            } else {
+                const unsigned width = ln.symbol_bits_;
+                Word sym = 0;
+                if (cs.reg_source) {
+                    // A common arc replaces the register probe (its row
+                    // is empty): no symbol latched.
+                    if (!cs.has_common) {
+                        const Word mask = width >= 32
+                                              ? ~Word{0}
+                                              : ((Word{1} << width) - 1);
+                        sym = ln.regs_[kRegDispatch] & mask;
+                        ln.last_symbol_ = sym;
+                    }
+                } else {
+                    if (sb.exhausted(width)) {
+                        out = LaneStatus::Done;
+                        ln.halted_ = true;
+                        ln.halt_status_ = out;
+                        break;
+                    }
+                    c.stream_bits += width;
+                    sym = ln.last_symbol_ = sb.read(width);
+                }
+                w = sym < cs.row_len
+                        ? words[(static_cast<std::size_t>(ix)
+                                 << CompiledProgram::kRowShift) +
+                                sym]
+                        : cs.over;
+            }
+            ++i;
+            ++c.dispatches;
+            ++c.cycles;
+
+            if (!ArcWord::slow(w)) {
+                const std::uint32_t miss = ArcWord::miss(w);
+                c.cycles += miss;
+                c.sig_misses += miss;
+                c.dispatch_reads += ArcWord::reads(w);
+                const std::uint32_t next = ArcWord::next(w);
+                if (static_next) {
+                    ln.cur_state_ = cp.state(next).base;
+                    ix = static_cast<std::int32_t>(next);
+                } else {
+                    // The window-relative target, rebased into the
+                    // current dispatch window.
+                    ln.cur_state_ = ln.dispatch_base_ +
+                                    (cp.state(next).base -
+                                     cp.init_dispatch_base());
+                    ix = cp.state_index(ln.cur_state_);
+                }
+                continue;
+            }
+
+            const ResolvedArc &arc = cp.slow_arc(w);
+            c.cycles += arc.miss;
+            c.sig_misses += arc.miss;
+            c.dispatch_reads += arc.add_reads;
+            if (arc.kind != ResolvedArc::Take) {
+                if (arc.kind == ResolvedArc::Invalid)
+                    decode_transition(prog.dispatch[arc.raw_slot]); // throws
+                out = LaneStatus::Reject;
+                ln.halted_ = true;
+                ln.halt_status_ = out;
+                break;
             }
 
             // Refill: push back over-consumed bits before actions
             // observe r15.
-            if (arc->refill_bits != 0) {
-                ln.sb_.refill(arc->refill_bits);
-                c.stream_bits -= arc->refill_bits;
+            if (arc.refill_bits != 0) {
+                sb.refill(arc.refill_bits);
+                c.stream_bits -= arc.refill_bits;
             }
 
-            if (arc->has_act) {
-                std::uint32_t a0 = arc->act;
-                if (arc->act_dynamic) {
+            if (arc.has_act) {
+                std::uint32_t a0 = arc.act;
+                if (arc.act_dynamic) {
                     const std::size_t addr =
                         static_cast<std::size_t>(ln.action_base_) +
-                        (std::size_t{arc->att_ref} << ln.action_scale_);
+                        (std::size_t{arc.att_ref} << ln.action_scale_);
                     a0 = addr < c.nops ? static_cast<std::uint32_t>(addr)
                                        : c.sentinel;
                 }
@@ -439,10 +545,10 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
             // 12-bit targets are window-relative; rebase into the
             // current dispatch window.
             if (static_next) {
-                ln.cur_state_ = arc->next_full;
-                ix = arc->next_state;
+                ln.cur_state_ = arc.next_full;
+                ix = arc.next_state;
             } else {
-                ln.cur_state_ = ln.dispatch_base_ + arc->target;
+                ln.cur_state_ = ln.dispatch_base_ + arc.target;
                 ix = cp.state_index(ln.cur_state_);
             }
         }
@@ -642,6 +748,50 @@ ThreadedEngine::nfa_replay(Lane &ln, ThreadedCtx &c, const NfaMemo &m,
 }
 
 std::uint32_t
+ThreadedEngine::nfa_run(Lane &ln, const NfaMemo &m, std::uint32_t set,
+                        std::uint64_t max_cycles)
+{
+    // The walk's per-symbol checks, in one bound: the set is live, the
+    // watchdog budget and the forced-trap cycle are not reached, a byte
+    // remains.  The first symbol that fails one, or whose step misses
+    // or fires a chain, is left to the caller.
+    StreamBuffer &sb = ln.sb_;
+    LaneStats &st = ln.stats_;
+    const std::uint64_t limit =
+        ln.trap_cycle_ != 0 ? std::min<std::uint64_t>(max_cycles,
+                                                      ln.trap_cycle_)
+                            : max_cycles;
+    const std::uint8_t *const p = sb.data_.data() + (sb.pos_bits_ >> 3);
+    const std::uint64_t avail = sb.remaining_bits() >> 3;
+    const std::uint32_t *const row = m.row_.data();
+    const NfaMemo::Step *const steps = m.steps_.data();
+    const NfaMemo::SetRef *const sets = m.sets_.data();
+    std::uint64_t j = 0, cycles = st.cycles, dispatches = 0, reads = 0,
+                  misses = 0;
+    for (; j < avail && cycles < limit && sets[set].size != 0; ++j) {
+        const std::uint32_t hit = row[std::size_t{set} * 256 + p[j]];
+        if (!(hit & NfaMemo::kFireFree))
+            break;
+        const NfaMemo::Charge &ch = steps[(hit & NfaMemo::kStepMask) - 1].tail;
+        dispatches += ch.dispatches;
+        cycles += ch.cycles;
+        reads += ch.dispatch_reads;
+        misses += ch.sig_misses;
+        set = (hit & ~NfaMemo::kFireFree) >> NfaMemo::kToShift;
+    }
+    if (j != 0) {
+        st.cycles = cycles;
+        st.dispatches += dispatches;
+        st.dispatch_reads += reads;
+        st.sig_misses += misses;
+        st.stream_bits += 8 * j;
+        sb.pos_bits_ += 8 * j;
+        ln.last_symbol_ = p[j - 1];
+    }
+    return set;
+}
+
+std::uint32_t
 ThreadedEngine::nfa_record(Lane &ln, ThreadedCtx &c, NfaMemo &m,
                            std::uint32_t from, Word sym)
 {
@@ -687,20 +837,25 @@ ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
         return memo ? memo->sets_[set].size != 0 : !plain.active.empty();
     };
 
-    while (live() && st.cycles < max_cycles) {
+    for (;;) {
+        if (memo && width == 8 && (ln.sb_.pos_bits_ & 7) == 0)
+            set = nfa_run(ln, *memo, set, max_cycles);
+        if (!live() || st.cycles >= max_cycles)
+            break;
         if (ln.trap_cycle_ != 0 && st.cycles >= ln.trap_cycle_)
             return ln.trap(FaultCode::ForcedTrap,
                            "Lane: forced trap (fault injection)");
         if (ln.sb_.exhausted(width))
             return LaneStatus::Done;
         st.stream_bits += width;
-        const Word sym = ln.last_symbol_ = read_sym(ln.sb_, width);
+        const Word sym = ln.last_symbol_ = ln.sb_.read(width);
         if (!memo) {
             nfa_step(ln, c, plain, sym, nullptr);
             continue;
         }
         const std::uint32_t hit = memo->row_[std::size_t{set} * 256 + sym];
-        set = hit ? nfa_replay(ln, c, *memo, hit - 1)
+        set = hit ? nfa_replay(ln, c, *memo,
+                               (hit & NfaMemo::kStepMask) - 1)
                   : nfa_record(ln, c, *memo, set, sym);
     }
     if (!live())
@@ -804,7 +959,10 @@ NfaMemo::commit(std::uint32_t from, Word sym,
         if (from == kStart)
             start_ = ix;
         else
-            row_[std::size_t{from} * 256 + sym] = ix;
+            row_[std::size_t{from} * 256 + sym] =
+                s.fires_begin == s.fires_end
+                    ? kFireFree | (s.to << kToShift) | ix
+                    : ix;
     }
     return s.to;
 }
@@ -912,33 +1070,35 @@ disassemble_compiled(const CompiledProgram &cp)
                   cp.dyn_action() ? 1 : 0);
     out += buf;
 
-    for (std::size_t s = 0; s < cp.num_states(); ++s) {
-        const CompiledState &cs = cp.state(s);
+    for (std::size_t ix = 0; ix < cp.num_rows(); ++ix) {
+        const CompiledState &cs = cp.state(ix);
+        if (cp.state_index(cs.base) != static_cast<std::int32_t>(ix))
+            continue; // a wide row's continuation
         std::snprintf(buf, sizeof buf, "state @0x%x (ix %zu)%s:\n",
-                      cs.base, s,
-                      cs.reg_source ? " reg-source" : "");
+                      cs.base, ix, cs.reg_source ? " reg-source" : "");
         out += buf;
         if (cs.has_common) {
-            out += "  common: " + arc_desc(cs.common_arc) + "\n";
-        } else {
-            // Collapse runs of identical consecutive arcs.
-            const ResolvedArc *arcs = cp.arcs() + cs.arc_base;
-            for (std::uint32_t lo = 0; lo <= cs.max_symbol;) {
-                std::uint32_t hi = lo;
-                while (hi + 1 <= cs.max_symbol &&
-                       same_arc(arcs[hi + 1], arcs[lo]))
-                    ++hi;
-                if (lo == hi)
-                    std::snprintf(buf, sizeof buf, "  sym 0x%02x: ", lo);
-                else
-                    std::snprintf(buf, sizeof buf, "  sym 0x%02x..0x%02x: ",
-                                  lo, hi);
-                out += buf;
-                out += arc_desc(arcs[lo]) + "\n";
-                lo = hi + 1;
-            }
+            out += "  common: " + arc_desc(cp.arc(cs.over)) + "\n";
+            continue;
         }
-        out += "  miss: " + arc_desc(cs.miss_arc) + "\n";
+        // Collapse runs of identical consecutive arcs.
+        const std::uint32_t *row =
+            cp.words() + (ix << CompiledProgram::kRowShift);
+        for (std::uint32_t lo = 0; lo < cs.row_len;) {
+            const ResolvedArc a = cp.arc(row[lo]);
+            std::uint32_t hi = lo;
+            while (hi + 1 < cs.row_len && same_arc(cp.arc(row[hi + 1]), a))
+                ++hi;
+            if (lo == hi)
+                std::snprintf(buf, sizeof buf, "  sym 0x%02x: ", lo);
+            else
+                std::snprintf(buf, sizeof buf, "  sym 0x%02x..0x%02x: ", lo,
+                              hi);
+            out += buf;
+            out += arc_desc(a) + "\n";
+            lo = hi + 1;
+        }
+        out += "  miss: " + arc_desc(cp.arc(cs.over)) + "\n";
     }
 
     out += "ops:\n";

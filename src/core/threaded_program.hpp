@@ -14,11 +14,16 @@
  *    fetches land on a trap sentinel op).  The handlers are generated:
  *    `ThreadedEngine::handler<OP>` instantiates the one opcode
  *    definition, `Lane::exec_op` (core/action_unit.hpp), per opcode;
- *  - every (state, symbol) pair becomes a `ResolvedArc`: the labeled
- *    slot probe, signature check, auxiliary miss walk and attach
- *    resolution collapse into one table entry holding the exact
- *    counter charges and the *compiled index* of the next state — no
- *    per-step pointer chasing.
+ *  - every (state, symbol) pair becomes one packed 32-bit `ArcWord`:
+ *    the labeled slot probe, signature check, auxiliary miss walk and
+ *    attach resolution collapse into one table word.  A plain arc (no
+ *    action, no refill, a known next state) carries its exact counter
+ *    charges and the *compiled index* of the next state in the word
+ *    itself; every other arc indexes a small side table of
+ *    `ResolvedArc`s.  Stream-source rows are at least 256 words long,
+ *    so byte symbols dispatch with one load and no range test, and a
+ *    run of plain arcs over a byte-aligned 8-bit stream is stepped by
+ *    a tight byte loop (ThreadedEngine::run_steps_body).
  *
  * One compiled image is shared read-only by all 64 lanes and across
  * waves via `shared_compiled()`, a content-fingerprint cache.
@@ -89,7 +94,9 @@ struct CompiledOp {
     Word raw = 0;           ///< source word (fetch-time re-decode on trap)
 };
 
-/// One fully resolved (state, symbol) dispatch outcome.
+/// A (state, symbol) dispatch outcome in full: the side-table form of
+/// every arc an ArcWord cannot carry (reject, undecodable slot, refill,
+/// action chain, dynamic attach, unknown or register-sourced next state).
 struct ResolvedArc {
     enum Kind : std::uint8_t {
         Reject = 0,  ///< no transition: lane rejects (after charges)
@@ -112,16 +119,47 @@ struct ResolvedArc {
     std::uint32_t raw_slot = 0;   ///< Invalid: dispatch slot to re-decode
 };
 
-/// Per-state compiled metadata: a dense arc table over the symbol range
-/// plus the precomputed common/miss arcs.
+/**
+ * One (state, symbol) dispatch outcome packed in 32 bits.
+ *
+ *   plain: bit 0 = 0, bit 1 = miss, bits 2..10 = add_reads,
+ *          bits 11..31 = compiled index of the next state
+ *   slow:  bit 0 = 1, bits 1..31 = index into CompiledProgram's
+ *          side table of ResolvedArcs
+ *
+ * A plain word is a Take with no action and no refill whose next state
+ * is known and dispatches from the stream: taking it charges one
+ * dispatch, 1 + miss cycles, miss sig-misses and add_reads dispatch
+ * reads, and nothing else happens.
+ */
+struct ArcWord {
+    static constexpr std::uint32_t kSlow = 1;
+    static constexpr unsigned kReadsShift = 2;
+    static constexpr unsigned kNextShift = 11;
+    static constexpr std::uint32_t kMaxReads = (1u << 9) - 1;
+    static constexpr std::uint32_t kMaxNext = (1u << 21) - 1;
+
+    static bool slow(std::uint32_t w) { return (w & kSlow) != 0; }
+    static std::uint32_t miss(std::uint32_t w) { return (w >> 1) & 1; }
+    static std::uint32_t reads(std::uint32_t w) {
+        return (w >> kReadsShift) & kMaxReads;
+    }
+    static std::uint32_t next(std::uint32_t w) { return w >> kNextShift; }
+    static std::uint32_t slow_index(std::uint32_t w) { return w >> 1; }
+};
+
+/// Per-state compiled metadata.  A state's compiled index `ix` is also
+/// its row: words()[(ix << kRowShift) + sym] for sym < row_len, `over`
+/// past it.  Rows start on 256-word boundaries; a state whose row is
+/// longer (symbols past 8 bits) spans several indices, the later ones
+/// unused.  Stream-source rows are at least 256 words (the miss or
+/// common arc pads them), so any byte indexes the row directly.
 struct CompiledState {
-    std::uint32_t base = 0;     ///< full word address of the state
-    std::uint32_t arc_base = 0; ///< arcs()[arc_base + sym], sym<=max_symbol
-    std::uint16_t max_symbol = 0;
+    std::uint32_t base = 0;    ///< full word address of the state
+    std::uint32_t row_len = 0; ///< 0: always `over` (register common)
+    std::uint32_t over = 0;    ///< ArcWord for sym >= row_len
     std::uint8_t reg_source = 0;
     std::uint8_t has_common = 0;
-    ResolvedArc common_arc; ///< replaces the labeled table when present
-    ResolvedArc miss_arc;   ///< sym > max_symbol (no labeled-slot read)
 };
 
 /**
@@ -141,9 +179,22 @@ class CompiledProgram
     std::uint32_t op_count() const { return nops_; }
     std::uint32_t sentinel() const { return nops_; }
 
+    /// Row length unit: state `ix`'s row starts at ix << kRowShift.
+    static constexpr unsigned kRowShift = 8;
+
     const CompiledState &state(std::size_t ix) const { return states_[ix]; }
-    std::size_t num_states() const { return states_.size(); }
-    const ResolvedArc *arcs() const { return arcs_.data(); }
+    /// States of the source program.
+    std::size_t num_states() const { return src_states_; }
+    /// Row units: valid state() indices (a state's index is its first).
+    std::size_t num_rows() const { return states_.size(); }
+    /// The packed (state, symbol) table (see CompiledState).
+    const std::uint32_t *words() const { return words_.data(); }
+    /// The side-table arc of a slow ArcWord.
+    const ResolvedArc &slow_arc(std::uint32_t w) const {
+        return slow_arcs_[ArcWord::slow_index(w)];
+    }
+    /// Any ArcWord expanded to its ResolvedArc (disassembler, tests).
+    ResolvedArc arc(std::uint32_t w) const;
 
     /// Compiled state index for a full dispatch base; -1 when unknown.
     std::int32_t state_index(std::size_t full_base) const {
@@ -180,10 +231,14 @@ class CompiledProgram
                              std::uint16_t add_reads) const;
     ResolvedArc resolve_miss(const DecodedState &d,
                              std::uint16_t extra_reads) const;
+    /// Pack `r`: a plain word when it qualifies, else a slow word
+    /// indexing a new side-table entry.
+    std::uint32_t pack(const ResolvedArc &r);
 
     std::vector<CompiledOp> ops_;
-    std::vector<CompiledState> states_;
-    std::vector<ResolvedArc> arcs_;
+    std::vector<CompiledState> states_; ///< one per 256-word row unit
+    std::vector<std::uint32_t> words_;  ///< ArcWords, states_.size() rows
+    std::vector<ResolvedArc> slow_arcs_;
     std::vector<std::int32_t> slot_state_; ///< base -> index into states_
     std::shared_ptr<const DecodedProgram> decoded_;
     std::uint64_t fingerprint_ = 0;
@@ -244,8 +299,10 @@ struct NfaWalk {
  * hit replays the step as "charges, chain, charges, chain, ..., tail
  * charges", the order the walk makes them in, so accepts, fault records
  * (cycle included), the watchdog and forced-trap checks all read the
- * counters the walk would have left.  A miss runs the walk itself and
- * records it.
+ * counters the walk would have left.  A step that fires no chain is
+ * flagged in its row word; runs of such hits over a byte-aligned 8-bit
+ * stream are applied inline, with the same per-symbol checks.  A miss
+ * runs the walk itself and records it.
  *
  * A memo belongs to one lane, so concurrently simulated lanes share
  * nothing.  It holds its image (a freed image's address cannot alias a
@@ -272,6 +329,14 @@ class NfaMemo
     friend class ThreadedEngine;
 
     static constexpr std::uint32_t kStart = ~std::uint32_t{0};
+    /// Row word: bits 0..22 the step + 1; bit 31 flags a step that
+    /// fires no chain (ThreadedEngine::nfa_run applies it inline), and
+    /// then bits 23..30 hold its next set, so the next row's address
+    /// does not wait on the step's load.
+    static constexpr std::uint32_t kFireFree = std::uint32_t{1} << 31;
+    static constexpr unsigned kToShift = 23;
+    static constexpr std::uint32_t kStepMask = (1u << kToShift) - 1;
+    static_assert(kMaxSets <= (std::size_t{1} << (31 - kToShift)));
     static constexpr std::size_t kMaxFires = std::size_t{1} << 16;
     static constexpr std::size_t kMaxPool = std::size_t{1} << 16;
 
@@ -329,7 +394,8 @@ class NfaMemo
     std::vector<std::uint32_t> pool_; ///< interned sets' state addresses
     std::vector<SetRef> sets_;
     std::vector<std::uint32_t> index_; ///< open-addressed set id + 1
-    std::vector<std::uint32_t> row_;   ///< [set * 256 + sym] step + 1
+    /// [set * 256 + sym]: row word (see kFireFree; 0 = not cached).
+    std::vector<std::uint32_t> row_;
     std::vector<Step> steps_;
     std::vector<Fire> fires_;
     std::uint32_t start_ = 0; ///< initial closure's step + 1
@@ -353,8 +419,12 @@ class ThreadedEngine
     /// Up to `n` dispatch steps over the compiled image, resuming at
     /// the lane's carried compiled state index (kNoResume = resolve)
     /// and leaving the next one there; local counters are flushed to
-    /// the lane's stats before returning or rethrowing.  Call inside
-    /// Lane::run_guarded.
+    /// the lane's stats before returning or rethrowing.  While the
+    /// image's next-state links are static, the symbols are bytes and
+    /// the stream is byte-aligned, plain words are stepped straight
+    /// from the stream bytes (a byte run) until a slow word, the end
+    /// of the stream or step `n`; everything else takes the general
+    /// step.  Call inside Lane::run_guarded.
     static LaneStatus run_steps_body(Lane &ln, std::uint64_t n);
 
     /// NFA mode to completion (or the `max_cycles` watchdog), charging
@@ -382,7 +452,6 @@ class ThreadedEngine
     static LaneStatus exec_chain(Lane &ln, ThreadedCtx &c,
                                  std::uint32_t ix);
     static void flush(Lane &ln, ThreadedCtx &c);
-    static Word read_sym(StreamBuffer &sb, unsigned width);
 
     // The NFA walk.  nfa_step is its one step function: the plain loop
     // calls it with `rec` null, the memo's recorder with its memo.
@@ -396,6 +465,8 @@ class ThreadedEngine
                          NfaMemo *rec);
     static std::uint32_t nfa_replay(Lane &ln, ThreadedCtx &c,
                                     const NfaMemo &m, std::uint32_t step);
+    static std::uint32_t nfa_run(Lane &ln, const NfaMemo &m,
+                                 std::uint32_t set, std::uint64_t max_cycles);
     static std::uint32_t nfa_record(Lane &ln, ThreadedCtx &c, NfaMemo &m,
                                     std::uint32_t from, Word sym);
 };

@@ -67,7 +67,8 @@ struct JobPlan {
     std::string name;
     std::shared_ptr<const Program> program;
     /// Shared threaded-code image of `program` (core/threaded_program.hpp),
-    /// resolved once per job (not once per lane) by resolve_image().
+    /// resolved once per job (not once per lane) by resolve_image(), or
+    /// once per KernelSpec for the jobs of a spec that owns its program.
     /// stage_job and the Scheduler (through JobSpec::compiled) hand it
     /// to the lane as is, so no run path hashes the program again.
     /// Null unless the Threaded backend was active at resolve time; a
@@ -96,11 +97,12 @@ struct JobPlan {
     unsigned trap_attempts = ~0u; ///< default: trap on every attempt
 
     /// (Re)resolve `compiled` for `program` under the active backend.
-    /// KernelSpec::make_job calls it once per job, FaultInjector again
-    /// after each program mutation.  Whoever changes `program` (or its
-    /// contents) must call it again: a stale image of another shape is
-    /// rejected when a lane loads it (CompiledProgram::shape_matches),
-    /// but one of the same shape would run the old code.
+    /// KernelSpec::make_job calls it for each job of a borrowed
+    /// program, FaultInjector again after each program mutation.
+    /// Whoever changes `program` (or its contents) must call it again:
+    /// a stale image of another shape is rejected when a lane loads it
+    /// (CompiledProgram::shape_matches), but one of the same shape
+    /// would run the old code.
     void resolve_image() {
         compiled = program && sim_backend() == SimBackend::Threaded
                        ? shared_compiled(*program)

@@ -19,7 +19,11 @@ KernelSpec::make_job(ArenaSlice input) const
     JobPlan p;
     p.name = name;
     p.program = program;
-    p.resolve_image();
+    // A borrowed program has no owner to count (borrow_program).
+    if (program.use_count() != 0 && sim_backend() == SimBackend::Threaded)
+        p.compiled = image.get(program);
+    else
+        p.resolve_image();
     p.input = std::move(input);
     p.window_bytes = window_bytes;
     p.nfa_mode = nfa_mode;
@@ -27,6 +31,35 @@ KernelSpec::make_job(ArenaSlice input) const
     if (prepare)
         prepare(p);
     return p;
+}
+
+SpecImage::SpecImage(const SpecImage &o)
+{
+    std::lock_guard<std::mutex> lk(o.mu_);
+    prog_ = o.prog_;
+    image_ = o.image_;
+}
+
+SpecImage &
+SpecImage::operator=(const SpecImage &o)
+{
+    if (this != &o) {
+        std::scoped_lock lk(mu_, o.mu_);
+        prog_ = o.prog_;
+        image_ = o.image_;
+    }
+    return *this;
+}
+
+std::shared_ptr<const CompiledProgram>
+SpecImage::get(const std::shared_ptr<const Program> &prog) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    if (prog_ != prog) {
+        image_ = shared_compiled(*prog);
+        prog_ = prog;
+    }
+    return image_;
 }
 
 ChunkAlign

@@ -14,8 +14,34 @@
 #include "runtime/job.hpp"
 
 #include <functional>
+#include <mutex>
 
 namespace udp::runtime {
+
+/**
+ * The compiled image of a spec's program, resolved once for all the
+ * jobs made from it (KernelSpec::make_job).  It holds the program it
+ * was resolved for, so a spec whose `program` is reassigned resolves
+ * again (a freed program's address cannot alias the new one).  Copies
+ * carry the resolved image.  Thread-safe.
+ */
+class SpecImage
+{
+  public:
+    SpecImage() = default;
+    SpecImage(const SpecImage &o);
+    SpecImage &operator=(const SpecImage &o);
+
+    /// The shared image of `prog` (shared_compiled), looked up only
+    /// when `prog` is not the program last resolved.
+    std::shared_ptr<const CompiledProgram>
+    get(const std::shared_ptr<const Program> &prog) const;
+
+  private:
+    mutable std::mutex mu_;
+    mutable std::shared_ptr<const Program> prog_;           ///< by mu_
+    mutable std::shared_ptr<const CompiledProgram> image_; ///< by mu_
+};
 
 /// How one kernel maps input bytes onto lane jobs.
 struct KernelSpec {
@@ -35,7 +61,14 @@ struct KernelSpec {
     /// `Bytes` still converts implicitly (a private single-job arena is
     /// materialized from it), but multi-job call sites should build one
     /// arena and slice it: the bytes are then never copied at all.
+    /// Under the Threaded backend the jobs of a spec that owns its
+    /// program share one image, resolved on the first call; a borrowed
+    /// program (borrow_program) is looked up per job, as its owner may
+    /// change it in place between calls.
     JobPlan make_job(ArenaSlice input) const;
+
+    /// make_job's image of an owned `program`.
+    SpecImage image;
 };
 
 /**

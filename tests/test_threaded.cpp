@@ -922,6 +922,88 @@ TEST(ThreadedCode, WavesAndLanesShareOneCompiledImage)
     EXPECT_EQ(first, shared_compiled(*jobs[0].program).get());
 }
 
+TEST(ThreadedCode, JobsOfAnOwnedSpecShareOneImage)
+{
+    // A spec that owns its program resolves the image on its first
+    // make_job and hands every later job (and every copy of the spec)
+    // that same image without a cache lookup: it stays even after the
+    // shared cache has dropped it.  Reassigning the spec's program
+    // resolves the new one.
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Threaded);
+    const auto pats = workloads::nids_patterns(16, false);
+    const Bytes payload = workloads::packet_payloads(2 * 1024, pats);
+    const auto specs = pattern_group_specs(pats, FaModel::Adfa, 2);
+    ASSERT_EQ(specs.size(), 2u);
+    runtime::KernelSpec spec = specs[0];
+    ASSERT_NE(spec.program.use_count(), 0);
+
+    const runtime::JobPlan first = spec.make_job(payload);
+    ASSERT_NE(first.compiled, nullptr);
+    // Flood the shared cache past its bound: it drops every entry.
+    Program filler = *specs[1].program;
+    for (int i = 0; i < 130; ++i) {
+        filler.actions.push_back(
+            encode_action(act_imm(Opcode::Addi, 1, 1, i, true)));
+        shared_compiled(filler);
+    }
+    ASSERT_NE(shared_compiled(*spec.program), first.compiled);
+
+    const runtime::JobPlan second = spec.make_job(payload);
+    EXPECT_EQ(second.compiled, first.compiled);
+    const runtime::KernelSpec copy = spec;
+    EXPECT_EQ(copy.make_job(payload).compiled, first.compiled);
+    expect_identical(run_backend(first, SimBackend::Legacy),
+                     run_backend(second, SimBackend::Threaded));
+
+    spec.program = specs[1].program;
+    const runtime::JobPlan swapped = spec.make_job(payload);
+    ASSERT_NE(swapped.compiled, nullptr);
+    EXPECT_NE(swapped.compiled, first.compiled);
+    EXPECT_TRUE(swapped.compiled->shape_matches(*specs[1].program));
+    EXPECT_EQ(swapped.compiled->fingerprint(),
+              program_fingerprint(*specs[1].program));
+    expect_identical(run_backend(swapped, SimBackend::Legacy),
+                     run_backend(swapped, SimBackend::Threaded));
+
+    // Under the reference backend a spec hands out no image.
+    set_sim_backend(SimBackend::Legacy);
+    EXPECT_EQ(spec.make_job(payload).compiled, nullptr);
+}
+
+TEST(ThreadedCode, BorrowedProgramIsResolvedPerJob)
+{
+    // A borrowed program's owner may change it in place between
+    // make_job calls, so each job resolves the image of what the
+    // program holds then.  A plan made before the swap keeps the old
+    // image, which the shape guard rejects.
+    BackendGuard guard;
+    set_sim_backend(SimBackend::Threaded);
+    const auto pats = workloads::nids_patterns(16, false);
+    const Bytes payload = workloads::packet_payloads(2 * 1024, pats);
+    const auto specs = pattern_group_specs(pats, FaModel::Adfa, 2);
+    ASSERT_EQ(specs.size(), 2u);
+
+    Program prog = *specs[0].program;
+    runtime::KernelSpec spec = specs[0];
+    spec.program = runtime::borrow_program(prog);
+    const runtime::JobPlan before = spec.make_job(payload);
+    ASSERT_NE(before.compiled, nullptr);
+    EXPECT_EQ(before.compiled->fingerprint(), program_fingerprint(prog));
+
+    prog = *specs[1].program; // swapped in place
+    const runtime::JobPlan after = spec.make_job(payload);
+    ASSERT_NE(after.compiled, nullptr);
+    EXPECT_NE(after.compiled, before.compiled);
+    EXPECT_EQ(after.compiled->fingerprint(), program_fingerprint(prog));
+    expect_identical(run_backend(after, SimBackend::Legacy),
+                     run_backend(after, SimBackend::Threaded));
+
+    ASSERT_FALSE(before.compiled->shape_matches(prog));
+    Machine m(AddressingMode::Restricted);
+    EXPECT_THROW(runtime::run_job_on(m, 0, 0, before), UdpError);
+}
+
 TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
 {
     // load/run/run_steps/run_lockstep must all honor set_sim_backend
